@@ -293,6 +293,13 @@ def _need(raw: dict, key: str) -> dict:
     return raw[key]
 
 
+def _domain(raw: dict, *keys: str) -> dict:
+    """The intervals named by ``keys`` in the optional 'domain' block."""
+    block = raw.get("domain", {})
+    _require_keys(block, {"c_interval": False, "phi": False, "psi": False, "rho": False}, "domain")
+    return {key: _interval(block, key, "domain") for key in keys if key in block}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -303,11 +310,7 @@ def run_exp_opt(spec_path: str, out_path: str) -> int:
     model = parse_model(_need(raw, "model"))
     mix = parse_mixing(_need(raw, "mixing"))
     a, w0 = parse_investor(_need(raw, "investor"))
-    domain = None
-    if "domain" in raw:
-        _require_keys(raw["domain"], {"c_interval": False, "phi": False, "psi": False, "rho": False}, "domain")
-        if "c_interval" in raw["domain"]:
-            domain = _interval(raw["domain"], "c_interval", "domain")
+    domain = _domain(raw, "c_interval").get("c_interval")
     res = exp_opt.optimize(model, mix, a=a, w0=w0, domain=domain)
     tm = res.transformed
     payload = {
@@ -363,22 +366,11 @@ def run_general_opt(spec_path: str, out_path: str, order: int, utility_text: str
     utility, a_util = _parse_utility(utility_text, a)
     tm = transform(model, mix)
     box = {"phi": (-1.0, 1.0), "psi": (-1.0, 1.0), "rho": (0.0, 5.0)}
-    if "domain" in raw:
-        _require_keys(
-            raw["domain"],
-            {"c_interval": False, "phi": False, "psi": False, "rho": False},
-            "domain",
-        )
-        for key in ("phi", "psi", "rho"):
-            if key in raw["domain"]:
-                box[key] = _interval(raw["domain"], key, "domain")
+    box.update(_domain(raw, *box))
     if utility.kind == "exponential":
-        domain = general_opt.exp_feasible_domain(tm, mix, a_util, w0, rho=box["rho"])
-        domain = general_opt.ReducedDomain(
-            phi=box["phi"], psi=box["psi"], rho=box["rho"], predicate=domain.predicate
-        )
+        domain = general_opt.exp_feasible_domain(tm, mix, a_util, w0, **box)
     else:
-        domain = general_opt.ReducedDomain(phi=box["phi"], psi=box["psi"], rho=box["rho"])
+        domain = general_opt.ReducedDomain(**box)
     point = general_opt.optimize_3d(
         tm, mix, utility, order=order, w0=w0, r_f=model.r_f, domain=domain
     )

@@ -32,6 +32,7 @@ __all__ = [
     "ReducedPoint",
     "ReducedDomain",
     "exp_feasible_domain",
+    "MomentTable",
     "normal_moment",
     "mean_wealth",
     "wealth_central_moment",
@@ -87,6 +88,11 @@ class UtilitySpec:
         e0 = 1.0 - eta
 
         def value(w):
+            if isinstance(w, float) and w > 0:  # scalar fast path of the search
+                try:
+                    return w**e0 / e0
+                except OverflowError:
+                    pass  # numpy below gives inf
             w = np.asarray(w, dtype=float)
             out = np.where(w > 0, np.power(np.where(w > 0, w, 1.0), e0) / e0, np.nan)
             return float(out) if out.ndim == 0 else out
@@ -95,6 +101,11 @@ class UtilitySpec:
             coeff = 1.0
             for j in range(k):
                 coeff *= e0 - j
+            if isinstance(w, float) and w > 0:
+                try:
+                    return coeff * w ** (e0 - k) / e0
+                except OverflowError:
+                    pass
             w = np.asarray(w, dtype=float)
             out = np.where(
                 w > 0, coeff * np.power(np.where(w > 0, w, 1.0), e0 - k) / e0, np.nan
@@ -110,13 +121,20 @@ class UtilitySpec:
         """U(w) = ln w on w > 0."""
 
         def value(w):
+            if isinstance(w, float) and w > 0:  # scalar fast path of the search
+                return math.log(w)
             w = np.asarray(w, dtype=float)
             out = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), np.nan)
             return float(out) if out.ndim == 0 else out
 
         def derivative(k, w):
-            w = np.asarray(w, dtype=float)
             coeff = (-1.0) ** (k - 1) * math.factorial(k - 1)
+            if isinstance(w, float) and w > 0:
+                try:
+                    return coeff / w**k
+                except (OverflowError, ZeroDivisionError):
+                    pass  # numpy below gives +-inf
+            w = np.asarray(w, dtype=float)
             out = np.where(w > 0, coeff / np.power(np.where(w > 0, w, 1.0), k), np.nan)
             return float(out) if out.ndim == 0 else out
 
@@ -213,15 +231,17 @@ class ReducedPoint:
 class ReducedDomain:
     """Box constraints on (phi, psi, rho); intersected with Gram feasibility.
 
-    ``predicate``, if given, further restricts the domain (used to keep
+    ``ball``, if given, is ``(centre, radius)`` of an open ball in span
+    coordinates, centred at ``centre`` times the unit gamma0 direction:
+    rho^2 - 2 centre phi rho + centre^2 < radius^2.  It keeps
     exponential-utility searches inside the finite-expected-utility set,
-    where the moment expansion actually approximates something finite).
+    where the moment expansion actually approximates something finite.
     """
 
     phi: tuple = (-1.0, 1.0)
     psi: tuple = (-1.0, 1.0)
     rho: tuple = (0.0, 5.0)
-    predicate: Optional[Callable] = None
+    ball: Optional[tuple] = None
 
     def contains(self, p: ReducedPoint, tol: float = 1e-12) -> bool:
         inside = (
@@ -229,8 +249,9 @@ class ReducedDomain:
             and self.psi[0] - tol <= p.psi <= self.psi[1] + tol
             and self.rho[0] - tol <= p.rho <= self.rho[1] + tol
         )
-        if inside and self.predicate is not None:
-            inside = bool(self.predicate(p))
+        if inside and self.ball is not None:
+            centre, radius = self.ball
+            inside = p.rho * (p.rho - 2.0 * centre * p.phi) + centre * centre < radius * radius
         return inside
 
 
@@ -241,25 +262,26 @@ def exp_feasible_domain(
     w0: float = 1.0,
     rho: tuple = (0.0, 5.0),
     margin: float = 0.98,
+    *,
+    phi: tuple = (-1.0, 1.0),
+    psi: tuple = (-1.0, 1.0),
 ) -> ReducedDomain:
     """Reduced domain cut to the interior of the finite-utility set.
 
     In reduced coordinates the exponential-utility Laplace argument is
-    g = a W0 |gamma0| phi rho - (a W0 rho)^2 / 2; the predicate keeps
-    g > margin * s0 so the truncated objective is never chased into the
-    region where the exact expected utility is -infinity.
+    g = a W0 |gamma0| phi rho - (a W0 rho)^2 / 2.  Keeping g > margin * s0
+    (so the truncated objective is never chased into the region where the
+    exact expected utility is -infinity) is, in span coordinates c with
+    c_0 = phi rho along gamma0 and |c| = rho, the open ball of centre
+    |gamma0| / (a W0) and radius sqrt(|gamma0|^2 - 2 margin s0) / (a W0).
     """
     s0 = mix.s_lower_bound
     if not math.isfinite(s0):
-        return ReducedDomain(rho=rho)
+        return ReducedDomain(phi=phi, psi=psi, rho=rho)
     g_norm = math.sqrt(tm.a_scalar)
     aw = a * w0
-
-    def predicate(p: ReducedPoint) -> bool:
-        g = aw * g_norm * p.phi * p.rho - 0.5 * (aw * p.rho) ** 2
-        return g > margin * s0
-
-    return ReducedDomain(rho=rho, predicate=predicate)
+    radius = math.sqrt(max(0.0, tm.a_scalar - 2.0 * margin * s0)) / aw
+    return ReducedDomain(phi=phi, psi=psi, rho=rho, ball=(g_norm / aw, radius))
 
 
 def normal_moment(m: int) -> float:
@@ -271,18 +293,55 @@ def normal_moment(m: int) -> float:
     return math.factorial(m) / (2 ** (m // 2) * math.factorial(m // 2))
 
 
+@dataclass(frozen=True)
+class MomentTable:
+    """The mixing-law moments of the expansion, tabled once per solve.
+
+    ``terms[k]`` lists the pairs (i, c[k,i]) with
+    c[k,i] = C(k,i) E[(Z-EZ)^i Z^((k-i)/2)] E[N^(k-i)] for the even k - i,
+    so that E[(W-w)^k] = (W0 rho)^k sum_i c[k,i] (|gamma0| phi)^i.
+    """
+
+    mean: float
+    terms: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.terms) - 1
+
+    @classmethod
+    def build(cls, mix: MixingDistribution, order: int) -> "MomentTable":
+        terms = [()] * 2
+        for k in range(2, order + 1):
+            terms.append(
+                tuple(
+                    (
+                        i,
+                        math.comb(k, i)
+                        * mix.mixed_central_moment(i, (k - i) / 2.0)
+                        * normal_moment(k - i),
+                    )
+                    for i in range(k % 2, k + 1, 2)
+                )
+            )
+        return cls(mix.mean, tuple(terms))
+
+
 def mean_wealth(
     point: ReducedPoint,
     tm: TransformedModel,
     mix: MixingDistribution,
     w0: float = 1.0,
     r_f: float = 0.0,
+    table: MomentTable | None = None,
 ) -> float:
-    """w(y) = W0(1+r_f) + W0 rho (|mu0| psi + |gamma0| phi EZ)."""
+    """w(y) = W0(1+r_f) + W0 rho (|mu0| psi + |gamma0| phi EZ).  EZ comes
+    from ``table`` when one is given."""
+    ez = mix.mean if table is None else table.mean
     g_norm = math.sqrt(tm.a_scalar)
     m_norm = math.sqrt(tm.c_scalar)
     return w0 * (1.0 + r_f) + w0 * point.rho * (
-        m_norm * point.psi + g_norm * point.phi * mix.mean
+        m_norm * point.psi + g_norm * point.phi * ez
     )
 
 
@@ -292,25 +351,22 @@ def wealth_central_moment(
     tm: TransformedModel,
     mix: MixingDistribution,
     w0: float = 1.0,
+    table: MomentTable | None = None,
 ) -> float:
     """E[(W - w)^k] = W0^k rho^k sum_i C(k,i) E[(Z-EZ)^i Z^((k-i)/2)]
     E[N^(k-i)] (|gamma0| phi)^i.  Odd normal moments drop half the terms;
-    k = 1 is identically zero."""
+    k = 1 is identically zero.  The moments come from ``table`` (order at
+    least k) when one is given, else from a table built for this call."""
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
     if k == 1:
         return 0.0
+    if table is None:
+        table = MomentTable.build(mix, k)
     gp = math.sqrt(tm.a_scalar) * point.phi
     total = 0.0
-    for i in range(k + 1):
-        if (k - i) % 2 == 1:
-            continue
-        total += (
-            math.comb(k, i)
-            * mix.mixed_central_moment(i, (k - i) / 2.0)
-            * normal_moment(k - i)
-            * gp**i
-        )
+    for i, c in table.terms[k]:
+        total += c * gp**i
     return (w0 * point.rho) ** k * total
 
 
@@ -345,20 +401,28 @@ def m_objective(
     mix: MixingDistribution,
     w0: float = 1.0,
     r_f: float = 0.0,
+    table: MomentTable | None = None,
 ) -> float:
-    """Truncated expansion M_order(phi, psi, rho) of E[U(W(y))]."""
+    """Truncated expansion M_order(phi, psi, rho) of E[U(W(y))].
+
+    ``table`` (order at least ``order``) saves rebuilding the moments on
+    every call; without it one is built for this call."""
     if order < 2:
         raise ValueError(f"order={order} must be >= 2")
     if utility.max_order is not None and order > utility.max_order:
         raise ValueError(
             f"order={order} exceeds utility max_order={utility.max_order}"
         )
-    w = mean_wealth(point, tm, mix, w0, r_f)
+    if table is None:
+        table = MomentTable.build(mix, order)
+    elif table.order < order:
+        raise ValueError(f"moment table of order {table.order} < order={order}")
+    w = mean_wealth(point, tm, mix, w0, r_f, table)
     total = float(utility.value(w))
     for k in range(2, order + 1):
         total += (
             float(utility.derivative(k, w))
-            * wealth_central_moment(k, point, tm, mix, w0)
+            * wealth_central_moment(k, point, tm, mix, w0, table)
             / math.factorial(k)
         )
     return total
@@ -371,7 +435,11 @@ def m_objective(
 
 class _SpanBasis:
     """Orthonormal basis of span{gamma0, mu0} plus one deterministic
-    orthogonal-complement direction (when the dimension allows one)."""
+    orthogonal-complement direction (when the dimension allows one).
+
+    The first basis vector is gamma0-hat whenever gamma0 is nonzero, so in
+    span coordinates c: phi rho = c_0, psi rho = mu0-hat . c and rho = |c|.
+    """
 
     def __init__(self, tm: TransformedModel):
         self.tm = tm
@@ -400,28 +468,39 @@ class _SpanBasis:
                 if nrm > 1e-6:
                     self.perp = e / nrm
                     break
+        axes = vecs + ([self.perp] if self.perp is not None else [])
+        self.axes = np.array(axes).reshape(len(axes), n)
+        # mu0-hat in span coordinates (None when mu0 vanishes)
+        self.mu_hat = (
+            [float(v @ tm.mu0) / self.m_norm for v in axes] if self.m_norm > _SPAN_TOL else None
+        )
 
     @property
     def dim(self) -> int:
         return len(self.span) + (1 if self.perp is not None else 0)
 
-    def point_of(self, coords: np.ndarray) -> ReducedPoint:
-        """Reduced point of y = sum coords_i basis_i (always feasible)."""
-        rho = float(np.linalg.norm(coords))
+    def point_of(self, coords) -> ReducedPoint:
+        """Reduced point of y = sum coords_i basis_i, the complement
+        coordinate taken by its absolute value (always feasible)."""
+        c = [float(v) for v in coords]
+        if self.perp is not None:
+            c[-1] = abs(c[-1])
+        rho = math.hypot(*c)
         if rho == 0.0:
             return ReducedPoint(0.0, 0.0, 0.0)
-        y = self.y_of(coords)
-        phi = float(y @ self.tm.gamma0) / (self.g_norm * rho) if self.g_norm > _SPAN_TOL else 0.0
-        psi = float(y @ self.tm.mu0) / (self.m_norm * rho) if self.m_norm > _SPAN_TOL else 0.0
+        phi = c[0] / rho if self.g_norm > _SPAN_TOL else 0.0
+        psi = sum(m * v for m, v in zip(self.mu_hat, c)) / rho if self.mu_hat else 0.0
         return ReducedPoint(min(1.0, max(-1.0, phi)), min(1.0, max(-1.0, psi)), rho)
 
-    def y_of(self, coords: np.ndarray) -> np.ndarray:
-        y = np.zeros_like(self.tm.mu0)
-        for c, v in zip(coords, self.span):
-            y = y + c * v
-        if self.perp is not None and len(coords) > len(self.span):
-            y = y + abs(coords[len(self.span)]) * self.perp
-        return y
+    def coords_of_y(self, y: np.ndarray) -> np.ndarray:
+        """Span coordinates of y, with the norm of its out-of-span part as
+        the complement coordinate."""
+        k = len(self.span)
+        span_c = self.axes[:k] @ y
+        if self.perp is None:
+            return span_c
+        rest = float(np.linalg.norm(y - span_c @ self.axes[:k]))
+        return np.append(span_c, rest)
 
     def coords_of_target(self, phi: float, psi: float, rho: float) -> np.ndarray:
         """Coordinates approximating a (phi, psi, rho) target; projects
@@ -462,6 +541,62 @@ class _SpanBasis:
 # ---------------------------------------------------------------------------
 
 _LATTICE = (5, 5, 7)  # phi x psi x rho seeds
+_EDGE = 1e-9  # share of the distance to the search set's boundary left unused
+_SEED_REACH = math.tanh(3.0)  # seeds beyond this share of that distance are pulled in
+
+
+class _BallMap:
+    """Maps an unconstrained variable u onto the interior of the search set.
+
+    The search set K, in span coordinates, is the ball |c| <= rho_max of
+    the rho box, cut by the domain's ball when it has one.  Both balls are
+    centred on the first axis, so K is convex and contains ``star``, the
+    middle of its extent along that axis.  u = |u| d (d a unit vector) maps
+    to c = star + tanh(|u|) (1 - _EDGE) reach(d) d, where reach(d) is the
+    distance from the star to the boundary of K along d.
+    """
+
+    def __init__(self, dim: int, domain: ReducedDomain):
+        balls = [(0.0, max(0.0, domain.rho[1]))]
+        if domain.ball is not None:
+            balls.append(domain.ball)
+        lo = max(q - r for q, r in balls)
+        hi = min(q + r for q, r in balls)
+        self.dim = dim
+        self.star = 0.5 * (lo + hi)
+        # per ball: offset of the star from its centre, radius^2 - offset^2
+        self._balls = [(self.star - q, r * r - (self.star - q) ** 2) for q, r in balls]
+
+    def reach(self, d0: float) -> float:
+        """Distance from the star to the boundary of K along a unit vector
+        whose first component is d0."""
+        return min(
+            -off * d0 + math.sqrt(max(0.0, (off * d0) ** 2 + slack)) for off, slack in self._balls
+        )
+
+    def coords(self, u) -> list:
+        u = [float(v) for v in u]
+        size = math.hypot(*u)
+        c = [0.0] * self.dim
+        if size > 0.0:
+            scale = math.tanh(size) * (1.0 - _EDGE) * self.reach(u[0] / size) / size
+            c = [scale * v for v in u]
+        c[0] += self.star
+        return c
+
+    def unconstrained(self, coords) -> np.ndarray | None:
+        """A u mapping to ``coords`` (pulled in to _SEED_REACH of the way to
+        the boundary); None when ``coords`` lies outside K."""
+        v = np.array(coords, dtype=float)
+        v[0] -= self.star
+        size = math.hypot(*v)
+        if size == 0.0:
+            return v
+        reach = self.reach(v[0] / size)
+        if size > reach * (1.0 + 1e-9):
+            return None
+        t = min(size / ((1.0 - _EDGE) * reach), _SEED_REACH)
+        return v * (math.atanh(t) / size)
 
 
 def optimize_3d(
@@ -475,43 +610,51 @@ def optimize_3d(
 ) -> ReducedPoint:
     """Maximize the truncated objective over the feasible reduced set.
 
-    Deterministic multi-start: a lattice over the (phi, psi, rho) box is
-    mapped into span coordinates (making every candidate Gram-feasible,
-    including rank-deficient markets where the feasible set is the Gram
-    boundary), the best seeds are refined with Nelder-Mead, and ties go to
-    the lexicographically smallest point.
+    Deterministic multi-start.  The mixing moments are tabled once.  A
+    lattice over the (phi, psi, rho) box is mapped into span coordinates
+    (making every candidate Gram-feasible, including rank-deficient markets
+    where the feasible set is the Gram boundary); candidates outside the
+    rho ball or the domain's ball are dropped.  The best four finite seeds
+    are refined with Nelder-Mead in the unconstrained variable of
+    ``_BallMap``, so no probe leaves those balls, and ties go to the
+    lexicographically smallest seed.  A non-finite objective value counts
+    as -inf, both when ranking seeds and inside Nelder-Mead.
     """
     domain = domain or ReducedDomain()
     basis = _SpanBasis(tm)
+    search = _BallMap(basis.dim, domain)
+    table = MomentTable.build(mix, order)
 
-    def objective(coords: np.ndarray) -> float:
-        p = basis.point_of(coords)
+    def objective(u) -> float:
+        p = basis.point_of(search.coords(u))
         if not domain.contains(p):
             return -math.inf
-        return m_objective(p, utility, order, tm, mix, w0, r_f)
+        v = m_objective(p, utility, order, tm, mix, w0, r_f, table)
+        return v if math.isfinite(v) else -math.inf
 
-    seeds = []
+    seeds = [np.zeros(basis.dim)]
     for phi in np.linspace(*domain.phi, _LATTICE[0]):
         for psi in np.linspace(*domain.psi, _LATTICE[1]):
             for rho in np.linspace(*domain.rho, _LATTICE[2]):
                 seeds.append(basis.coords_of_target(phi, psi, rho))
-    if basis.dim > 0:
-        seeds.append(np.zeros(basis.dim))
     uniq = {}
     for c in seeds:
-        uniq[tuple(np.round(c, 12))] = c
+        key = tuple(np.round(c, 12))
+        u = search.unconstrained(key)
+        if u is not None:
+            uniq[key] = u
     scored = sorted(
-        ((objective(c), tuple(np.round(c, 12))) for c in uniq.values()),
+        ((objective(u), key, u) for key, u in uniq.items()),
         key=lambda t: (-t[0], t[1]),
     )
 
-    best_c = np.array(scored[0][1])
-    best_v = scored[0][0]
-    for _, key in scored[:4]:
-        start = np.array(key)
+    best_v, _, best_u = scored[0]
+    for v, _, start in scored[:4]:
+        if v == -math.inf:
+            break
         for _ in range(2):  # restart once to tighten the simplex
             res = minimize(
-                lambda c: -objective(c),
+                lambda u: -objective(u),
                 start,
                 method="Nelder-Mead",
                 options={
@@ -524,8 +667,8 @@ def optimize_3d(
             start = res.x
         v = objective(start)
         if v > best_v + 1e-15:
-            best_c, best_v = start, v
-    point = basis.point_of(best_c)
+            best_u, best_v = start, v
+    point = basis.point_of(search.coords(best_u))
     if point.rho < 1e-12:
         return ReducedPoint(0.0, 0.0, 0.0)
     return point
@@ -564,8 +707,7 @@ def reconstruct_portfolio(
             "but the market has no orthogonal directions left (rank-deficient case)"
         )
     coords = list(span_c) + ([math.sqrt(max(deficit, 0.0))] if basis.perp is not None else [])
-    y = basis.y_of(np.array(coords))
-    return np.linalg.solve(model.a_matrix.T, y)
+    return np.linalg.solve(model.a_matrix.T, np.array(coords) @ basis.axes)
 
 
 def reduce_portfolio(
@@ -573,12 +715,6 @@ def reduce_portfolio(
 ) -> ReducedPoint:
     """(phi, psi, rho) of a portfolio: rho = sqrt(x' Sigma x) and the
     cosines of y = A^T x against gamma0 and mu0."""
+    basis = _SpanBasis(tm)
     y = model.a_matrix.T @ np.asarray(x, dtype=float)
-    rho = float(np.linalg.norm(y))
-    if rho == 0.0:
-        return ReducedPoint(0.0, 0.0, 0.0)
-    g_norm = math.sqrt(tm.a_scalar)
-    m_norm = math.sqrt(tm.c_scalar)
-    phi = float(y @ tm.gamma0) / (g_norm * rho) if g_norm > _SPAN_TOL else 0.0
-    psi = float(y @ tm.mu0) / (m_norm * rho) if m_norm > _SPAN_TOL else 0.0
-    return ReducedPoint(min(1.0, max(-1.0, phi)), min(1.0, max(-1.0, psi)), rho)
+    return basis.point_of(basis.coords_of_y(y))

@@ -20,7 +20,9 @@ usable close to the finiteness boundary.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,17 @@ def log_bessel_k(lam: float, x):
         raise MixingDomainError(f"log_bessel_k requires x > 0, got {x}")
     out = np.log(kve(lam, x)) - x
     return float(out) if out.ndim == 0 else out
+
+
+# GIG moments fall back to quadrature once the binomial expansion's terms
+# exceed its sum by this factor (about four of sixteen digits lost).
+_CANCELLATION_LIMIT = 1e4
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """24-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(24)
 
 
 def _rng_from_seed(seed) -> np.random.Generator:
@@ -129,14 +142,25 @@ class MixingDistribution:
         return self.moment(2.0) - m * m
 
     def mixed_central_moment(self, i: int, p: float) -> float:
-        """E[(Z - EZ)^i Z^p] via binomial expansion of (Z - EZ)^i."""
+        """E[(Z - EZ)^i Z^p]; by default the binomial expansion of (Z - EZ)^i."""
         if i < 0:
             raise InvalidMomentOrderError(f"central power i={i} must be >= 0")
+        return self._mixed_central(i, p)
+
+    def _mixed_central(self, i: int, p: float) -> float:
+        return self._binomial_central(i, p)[0]
+
+    def _binomial_central(self, i: int, p: float) -> tuple[float, float]:
+        """(binomial expansion of E[(Z - EZ)^i Z^p], sum of |terms|); the
+        ratio of the two bounds the digits lost to cancellation."""
         mean = self.mean
         total = 0.0
+        size = 0.0
         for j in range(i + 1):
-            total += math.comb(i, j) * self.moment(p + j) * (-mean) ** (i - j)
-        return total
+            term = math.comb(i, j) * self.moment(p + j) * (-mean) ** (i - j)
+            total += term
+            size += abs(term)
+        return total, size
 
     # -- sampling ----------------------------------------------------------
 
@@ -181,6 +205,9 @@ class Constant(MixingDistribution):
 
     def moment(self, r):
         return self.value**r
+
+    def _mixed_central(self, i, p):
+        return self.value**p if i == 0 else 0.0
 
     def _sample(self, rng, count):
         return np.full(count, self.value, dtype=float)
@@ -244,6 +271,10 @@ class GIG(MixingDistribution):
             raise ValueError(
                 f"GIG requires chi > 0 and psi > 0, got chi={self.chi}, psi={self.psi}"
             )
+        if abs(self.lam) < sys.float_info.min:
+            # scipy's kve returns nan/inf at subnormal orders; K is smooth
+            # in the order, so such a lam is 0
+            object.__setattr__(self, "lam", 0.0)
 
     @property
     def s_lower_bound(self) -> float:
@@ -278,6 +309,42 @@ class GIG(MixingDistribution):
             math.log(kve(self.lam + r, w) / kve(self.lam, w))
             + 0.5 * r * (math.log(self.chi) - math.log(self.psi))
         )
+
+    def _mixed_central(self, i, p):
+        """Binomial expansion, or, for a concentrated law (sd < EZ/4) where
+        the expansion cancels, quadrature over a window of +-40 sd."""
+        total, size = self._binomial_central(i, p)
+        if size <= _CANCELLATION_LIMIT * abs(total):
+            return total
+        mean, var = self.mean, self.variance
+        if 16.0 * var > mean * mean:
+            return total
+        # imported here: scipy.integrate would add about half a second and
+        # 4 MB to every start-up, for a path only concentrated laws take
+        from scipy.integrate import quad
+
+        # Z = eta X with X ~ GIG(lam, omega, omega), whose density is
+        # proportional to x^(lam-1) exp(-omega (x-1)^2 / (2x))
+        eta = math.sqrt(self.chi / self.psi)
+        w, lam = self._omega, self.lam
+        mx, spread = mean / eta, 40.0 * math.sqrt(var) / eta
+
+        def log_weight(x):
+            return (lam - 1.0) * math.log(x) - 0.5 * w * (x - 1.0) ** 2 / x
+
+        top = log_weight(mx)
+
+        def weighted(f):
+            def g(x):
+                return f(x) * math.exp(log_weight(x) - top) if x > 0.0 else 0.0
+
+            return sum(
+                quad(g, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                for a, b in ((max(0.0, mx - spread), mx), (mx, mx + spread))
+            )
+
+        num = weighted(lambda x: (x - mx) ** i * x**p)
+        return eta ** (i + p) * num / weighted(lambda x: 1.0)
 
     def _sample(self, rng, count):
         return _sample_gig(rng, count, self.lam, self.chi, self.psi)
@@ -345,6 +412,26 @@ class BoundedUniform(MixingDistribution):
         if r == -1:
             return math.log(d / c) / (d - c)
         return (d ** (r + 1) - c ** (r + 1)) / ((r + 1) * (d - c))
+
+    def _mixed_central(self, i, p):
+        """Gauss-Legendre over t = z - EZ, so even powers of t stay >= 0.
+
+        [low, high] is cut into panels [a, b] with b <= 2a; on each, z^p is
+        analytic well beyond the panel and the rule converges to rounding.
+        """
+        c, d = self.low, self.high
+        mean = 0.5 * (c + d)
+        edges = [c]
+        while 2.0 * edges[-1] < d:
+            edges.append(2.0 * edges[-1])
+        edges.append(d)
+        nodes, weights = _gauss_legendre()
+        total = 0.0
+        for a, b in zip(edges, edges[1:]):
+            half = 0.5 * (b - a)
+            t = (0.5 * (a + b) - mean) + half * nodes
+            total += half * float(weights @ (t**i * (mean + t) ** p))
+        return total / (d - c)
 
     def _sample(self, rng, count):
         return rng.uniform(self.low, self.high, size=count)

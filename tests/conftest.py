@@ -60,6 +60,56 @@ def gig_quad_laplace_deriv(lam, chi, psi, s):
     return -_gig_quad(lam, chi, psi, extra_exp=s, power=1.0) / _gig_quad(lam, chi, psi)
 
 
+def _central_quad(weight, lo, hi, mean, sd, i, p):
+    """E[(Z - mean)^i Z^p] for the unnormalized density ``weight`` on
+    (lo, hi), integrated in pieces cut at mean and mean +- 8 sd."""
+    cuts = sorted({lo, hi, mean, *(c for c in (mean - 8 * sd, mean + 8 * sd) if lo < c < hi)})
+
+    def integral(f):
+        return sum(
+            quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0] for a, b in zip(cuts, cuts[1:])
+        )
+
+    return integral(lambda z: (z - mean) ** i * z**p * weight(z)) / integral(weight)
+
+
+def gig_quad_central(lam, chi, psi, i, p):
+    """E[(Z - EZ)^i Z^p] for GIG(lam, chi, psi) by quadrature in z, with
+    the exponent shifted by its value at the mode so concentrated laws
+    (large chi*psi) do not underflow."""
+    mode = (math.sqrt((lam - 1) ** 2 + chi * psi) + (lam - 1)) / psi
+
+    def log_w(z):
+        return (lam - 1.0) * math.log(z) - 0.5 * chi / z - 0.5 * psi * z
+
+    top = log_w(mode)
+
+    def weight(z):
+        return math.exp(log_w(z) - top) if z > 0 else 0.0
+
+    def plain(f):
+        return sum(
+            quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+            for a, b in ((0.0, mode), (mode, math.inf))
+        )
+
+    norm = plain(weight)
+    mean = plain(lambda z: z * weight(z)) / norm
+    sd = math.sqrt(plain(lambda z: (z - mean) ** 2 * weight(z)) / norm)
+    return _central_quad(weight, 0.0, math.inf, mean, sd, i, p)
+
+
+def exponential_quad_central(rate, i, p):
+    return _central_quad(
+        lambda z: math.exp(-rate * z), 0.0, math.inf, 1.0 / rate, 1.0 / rate, i, p
+    )
+
+
+def uniform_quad_central(low, high, i, p):
+    mean = 0.5 * (low + high)
+    return _central_quad(lambda z: 1.0, low, high, mean, high - low, i, p)
+
+
 def bessel_quad(lam, x):
     """Integral representation: K_lam(x) = int_0^inf exp(-x cosh t) cosh(lam t) dt."""
 

@@ -211,6 +211,23 @@ def test_general_opt_exponential_truncation_gap(tmp_path):
     )
 
 
+@pytest.mark.parametrize("spec", ["gaussian", "gig", "exp1"])
+@pytest.mark.parametrize(
+    "order,utility",
+    [(4, "exponential"), (6, "exponential"), (4, "log"), (4, "power:2"),
+     (4, "power:0.5"), (4, "quadratic:0.3")],
+)
+def test_general_opt_silent_under_warnings_as_errors(tmp_path, spec, order, utility):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nmvmopt", "general-opt",
+         "--spec", str(SPECS / f"{spec}.json"), "--out", str(tmp_path / "out.json"),
+         "--order", str(order), "--utility", utility],
+        capture_output=True, text=True, cwd=str(REPO),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_general_opt_bad_utility_exit_1(tmp_path, capsys):
     code = main([
         "general-opt", "--spec", str(SPECS / "exp1.json"), "--out", str(tmp_path / "o"),

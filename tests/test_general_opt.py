@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from conftest import random_spd_market, sane_exp_market
 from nmvmopt.errors import InfeasiblePointError
 from nmvmopt.mixing import GIG, Constant, Exponential
 from nmvmopt.model import Portfolio, TransformedModel, expected_exp_utility, transform
-from nmvmopt import exp_opt, mc_oracle
+from nmvmopt import exp_opt, general_opt, mc_oracle
 from nmvmopt.general_opt import (
     ReducedDomain,
     ReducedPoint,
@@ -449,3 +451,89 @@ def test_roundtrip_preserves_objective(rng):
     ua = expected_exp_utility(m, e, Portfolio(x))
     ub = expected_exp_utility(m, e, Portfolio(x2))
     assert ua == pytest.approx(ub, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# search: feasible probes, finite seeds
+# ---------------------------------------------------------------------------
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
+
+
+def _shipped(name):
+    from nmvmopt.cli import parse_investor, parse_mixing, parse_model
+
+    raw = json.loads((SPECS / f"{name}.json").read_text())
+    m = parse_model(raw["model"])
+    mix = parse_mixing(raw["mixing"])
+    a, w0 = parse_investor(raw["investor"])
+    return m, mix, transform(m, mix), a, w0
+
+
+def test_exp_feasible_ball_matches_laplace_argument(rng):
+    m, mix, tm, a, w0 = _shipped("gig")
+    dom = exp_feasible_domain(tm, mix, a, w0, rho=(0.0, 5.0))
+    g_norm, aw = math.sqrt(tm.a_scalar), a * w0
+    for _ in range(2000):
+        p = ReducedPoint(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.0, 1.5))
+        g = aw * g_norm * p.phi * p.rho - 0.5 * (aw * p.rho) ** 2
+        if abs(g - 0.98 * mix.s_lower_bound) > 1e-12:
+            assert dom.contains(p) == (g > 0.98 * mix.s_lower_bound)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_optimize_3d_never_probes_outside_exp_ball(monkeypatch, order):
+    m, mix, tm, a, w0 = _shipped("gig")
+    dom = exp_feasible_domain(tm, mix, a, w0, rho=(0.0, 5.0))
+    seen = []
+    real = ReducedDomain.contains
+    monkeypatch.setattr(
+        ReducedDomain, "contains", lambda self, p, tol=1e-12: seen.append(real(self, p, tol)) or seen[-1]
+    )
+    optimize_3d(tm, mix, UtilitySpec.exponential(a), order=order, w0=w0, r_f=m.r_f, domain=dom)
+    assert len(seen) > 100
+    assert all(seen)
+
+
+@pytest.mark.parametrize("utility", [UtilitySpec.log(), UtilitySpec.power(2.0), UtilitySpec.power(0.5)])
+def test_log_and_power_search_budget_and_finite_starts(monkeypatch, utility):
+    m, mix, tm, a, w0 = _shipped("exp1")
+    calls, starts = [], []
+    real_m, real_min = general_opt.m_objective, general_opt.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_m(*args, **kwargs)
+
+    def spying(fun, x0, **kwargs):
+        starts.append(fun(x0))
+        return real_min(fun, x0, **kwargs)
+
+    monkeypatch.setattr(general_opt, "m_objective", counting)
+    monkeypatch.setattr(general_opt, "minimize", spying)
+    optimize_3d(tm, mix, utility, order=4, w0=w0, r_f=m.r_f, domain=ReducedDomain())
+    assert len(calls) <= 5000
+    assert starts and all(math.isfinite(v) for v in starts)
+
+
+@pytest.mark.parametrize("spec,kind", [("gig", "exponential"), ("exp1", "log"), ("exp1", "power")])
+def test_optimize_3d_not_improved_by_random_feasible_probes(rng, spec, kind):
+    m, mix, tm, a, w0 = _shipped(spec)
+    if kind == "exponential":
+        u = UtilitySpec.exponential(a)
+        dom = exp_feasible_domain(tm, mix, a, w0, rho=(0.0, 5.0))
+    else:
+        u = UtilitySpec.log() if kind == "log" else UtilitySpec.power(2.0)
+        dom = ReducedDomain()
+    point = optimize_3d(tm, mix, u, order=4, w0=w0, r_f=m.r_f, domain=dom)
+    best = m_objective(point, u, 4, tm, mix, w0, m.r_f)
+    assert dom.contains(point)
+    tries = 0
+    while tries < 3000:
+        p = reduce_portfolio(rng.normal(0.0, 1.0, m.n), tm, m)
+        if not dom.contains(p):
+            continue
+        v = m_objective(p, u, 4, tm, mix, w0, m.r_f)
+        if math.isfinite(v):
+            tries += 1
+            assert v <= best + 1e-12

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     bessel_quad,
+    exponential_quad_central,
+    gig_quad_central,
     gig_quad_laplace,
     gig_quad_laplace_deriv,
     gig_quad_moment,
+    uniform_quad_central,
 )
 from nmvmopt.errors import InvalidMomentOrderError, MixingDomainError
 from nmvmopt.mixing import (
@@ -256,6 +259,59 @@ def test_mixed_central_moment_against_sampling():
         target = g.mixed_central_moment(i, p)
         emp = (z - g.mean) ** i * z**p
         assert abs(emp.mean() - target) < 4.0 * emp.std() / math.sqrt(z.size)
+
+
+def test_bounded_uniform_narrow_even_moments():
+    # the binomial expansion of (Z - EZ)^8 cancels to the wrong sign here
+    assert BoundedUniform(5.0, 5.2).mixed_central_moment(8, 0.0) == pytest.approx(
+        0.1**8 / 9.0, rel=1e-12
+    )
+    assert BoundedUniform(0.99, 1.01).mixed_central_moment(8, 0.0) == pytest.approx(
+        0.01**8 / 9.0, rel=1e-12
+    )
+
+
+def test_gig_subnormal_lambda_is_zero():
+    # scipy's kve returns nan at subnormal orders
+    assert GIG(5e-324, 1.0, 0.1).mean == GIG(0.0, 1.0, 0.1).mean
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+_LAWS = st.one_of(
+    st.builds(Constant, _log_uniform(0.05, 20.0)),
+    st.builds(Exponential, _log_uniform(0.05, 20.0)),
+    st.builds(GIG, st.floats(-3.0, 3.0), _log_uniform(0.05, 1e5), _log_uniform(0.05, 1e5)),
+    st.builds(
+        lambda low, width: BoundedUniform(low, low * (1.0 + width)),
+        _log_uniform(1e-3, 10.0),
+        _log_uniform(1e-3, 10.0),
+    ),
+)
+
+
+def _central_oracle(mix, i, p):
+    if isinstance(mix, Constant):
+        return mix.value**p if i == 0 else 0.0
+    if isinstance(mix, Exponential):
+        return exponential_quad_central(mix.rate, i, p)
+    if isinstance(mix, GIG):
+        return gig_quad_central(mix.lam, mix.chi, mix.psi, i, p)
+    return uniform_quad_central(mix.low, mix.high, i, p)
+
+
+@given(
+    mix=_LAWS,
+    i=st.sampled_from([2, 4, 6, 8]),
+    p=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_even_central_moments_nonnegative_and_match_quadrature(mix, i, p):
+    got = mix.mixed_central_moment(i, p)
+    assert got >= 0.0
+    assert got == pytest.approx(_central_oracle(mix, i, p), rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ value produces identical bytes).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -535,6 +536,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: a parser holds reference cycles that only a
+    # full garbage collection frees, so one per call grows the heap
+    return build_parser()
+
+
 def main(argv=None) -> int:
     threads = os.environ.get("NMVM_THREADS")
     if threads is not None:
@@ -544,7 +552,7 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"invalid NMVM_THREADS={threads!r}", file=sys.stderr)
             return 1
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "exp-opt":
             return run_exp_opt(args.spec, args.out)

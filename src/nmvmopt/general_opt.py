@@ -381,15 +381,13 @@ def dist_stats(
     ez = mix.mean
     var_z = mix.variance
     ez2 = mix.moment(2.0)
-    ez3 = mix.moment(3.0)
     m3 = mix.mixed_central_moment(3, 0.0)
     m4 = mix.mixed_central_moment(4, 0.0)
+    z_var_z = mix.mixed_central_moment(2, 1.0)  # E[Z (Z - EZ)^2]
     base = gp * gp * var_z + ez
     std = w0 * point.rho * math.sqrt(base)
     skew = (gp**3 * m3 + 3.0 * gp * var_z) / base**1.5
-    kurt = (
-        gp**4 * m4 + 6.0 * gp * gp * (ez3 - 2.0 * ez2 * ez + ez**3) + 3.0 * ez2
-    ) / base**2
+    kurt = (gp**4 * m4 + 6.0 * gp * gp * z_var_z + 3.0 * ez2) / base**2
     return std, skew, kurt
 
 

@@ -39,7 +39,7 @@ __all__ = [
 def _materialize(seq, max_n: int, start: int = 1) -> np.ndarray:
     """Accept an array-like or a callable i -> value (i starting at ``start``)."""
     if callable(seq):
-        return np.array([float(seq(i)) for i in range(start, max_n + 1)])
+        return np.fromiter(map(seq, range(start, max_n + 1)), dtype=float, count=max_n - start + 1)
     arr = np.asarray(seq, dtype=float).reshape(-1)
     if arr.size < max_n - start + 1:
         raise ValueError(
@@ -69,6 +69,11 @@ class LargeMarketSpec:
     mu: np.ndarray = field(init=False)
     beta: np.ndarray = field(init=False)
     beta_bar: np.ndarray = field(init=False)
+    # per-asset data for all max_n assets, built once: the effective
+    # coefficients mu'_i, gamma'_i and the drift bounds d_i
+    mu_p: np.ndarray = field(init=False, repr=False)
+    gamma_p: np.ndarray = field(init=False, repr=False)
+    d: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.max_n < 1:
@@ -91,6 +96,22 @@ class LargeMarketSpec:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "beta_bar", beta_bar)
+        ratio = beta / beta_bar
+        mu_p = mu / beta_bar - ratio * (mu[0] / beta_bar[0])
+        gamma_p = gamma / beta_bar - ratio * (gamma[0] / beta_bar[0])
+        mu_p[0] = mu[0] / beta_bar[0]
+        gamma_p[0] = gamma[0] / beta_bar[0]
+        object.__setattr__(self, "mu_p", mu_p)
+        object.__setattr__(self, "gamma_p", gamma_p)
+        # d_i = sup over the support of |b_i(z)| = |gamma'_i sqrt(z) + mu'_i/sqrt(z)|:
+        # in sqrt(z) that is convex where gamma'_i, mu'_i share a sign (the
+        # stationary point z = mu'_i/gamma'_i is its minimum) and V-shaped
+        # where they do not, so the supremum sits at an end of the support
+        every = slice(None)
+        d = np.maximum(
+            np.abs(_drift(self, every, np.sqrt(lo))), np.abs(_drift(self, every, np.sqrt(hi)))
+        )
+        object.__setattr__(self, "d", d)
         if self.max_n >= 4:
             tail = d2_tail(self, self.max_n // 2)
             if tail >= self.cauchy_tol:
@@ -114,6 +135,15 @@ def _check_z(spec: LargeMarketSpec, z) -> np.ndarray:
     return z
 
 
+def _drift(spec: LargeMarketSpec, idx, rz):
+    """b_i at sqrt(z) = ``rz`` for the asset (index) or assets (slice) ``idx``
+    counted from 0; ``rz`` broadcasts against the selected assets.  Asset 1
+    has beta_1 = 0, so its index correction vanishes."""
+    g, m, bb = spec.gamma[idx], spec.mu[idx], spec.beta_bar[idx]
+    b1 = -spec.gamma[0] * rz / spec.beta_bar[0] - spec.mu[0] / (rz * spec.beta_bar[0])
+    return -g * rz / bb - m / (rz * bb) - spec.beta[idx] * b1 / bb
+
+
 def b_function(spec: LargeMarketSpec, i: int, z):
     """Conditional factor drift b_i(z) making the first n returns centered.
 
@@ -122,16 +152,7 @@ def b_function(spec: LargeMarketSpec, i: int, z):
     """
     if not 1 <= i <= spec.max_n:
         raise ValueError(f"asset index i={i} outside 1..{spec.max_n}")
-    z = _check_z(spec, z)
-    rz = np.sqrt(z)
-    g, m, bb = spec.gamma[i - 1], spec.mu[i - 1], spec.beta_bar[i - 1]
-    out = -g * rz / bb - m / (rz * bb)
-    if i >= 2:
-        b1 = (
-            -spec.gamma[0] * rz / spec.beta_bar[0]
-            - spec.mu[0] / (rz * spec.beta_bar[0])
-        )
-        out = out - spec.beta[i - 1] * b1 / bb
+    out = _drift(spec, i - 1, np.sqrt(_check_z(spec, z)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -141,39 +162,27 @@ def effective_nmvm_segment(spec: LargeMarketSpec, n: int) -> tuple[np.ndarray, n
     Substituting b_i makes sqrt(z) b_i(z) affine in z; reading off the
     coefficients gives mu'_1 = mu_1/bb_1, gamma'_1 = gamma_1/bb_1 and, for
     i >= 2, mu'_i = (mu_i - beta_i mu_1 / bb_1)/bb_i and likewise for gamma'.
+    The spec holds them for all max_n assets; this returns copies of the
+    first n.
     """
     if not 1 <= n <= spec.max_n:
         raise ValueError(f"segment size n={n} outside 1..{spec.max_n}")
-    bb1 = spec.beta_bar[0]
-    ratio = spec.beta[:n] / spec.beta_bar[:n]
-    mu_p = spec.mu[:n] / spec.beta_bar[:n] - ratio * (spec.mu[0] / bb1)
-    gamma_p = spec.gamma[:n] / spec.beta_bar[:n] - ratio * (spec.gamma[0] / bb1)
-    mu_p[0] = spec.mu[0] / bb1
-    gamma_p[0] = spec.gamma[0] / bb1
-    return mu_p, gamma_p
+    return spec.mu_p[:n].copy(), spec.gamma_p[:n].copy()
 
 
 def d_coefficient(spec: LargeMarketSpec, i: int) -> float:
-    """d_i = sup over the mixing support of |b_i(z)|.
-
-    |a sqrt(z) + b / sqrt(z)| attains its supremum at an endpoint or at the
-    stationary point z = b/a; all candidates are evaluated exactly.
-    """
-    lo, hi = spec.z_bounds
-    candidates = [lo, hi]
-    mu_p, gamma_p = effective_nmvm_segment(spec, i)
-    a, b = -gamma_p[i - 1], -mu_p[i - 1]
-    if a != 0.0:
-        z_star = b / a
-        if lo < z_star < hi:
-            candidates.append(z_star)
-    return max(abs(b_function(spec, i, z)) for z in candidates)
+    """d_i = sup over the mixing support of |b_i(z)| (held by the spec)."""
+    if not 1 <= i <= spec.max_n:
+        raise ValueError(f"asset index i={i} outside 1..{spec.max_n}")
+    return float(spec.d[i - 1])
 
 
 def d2_tail(spec: LargeMarketSpec, n: int) -> float:
     """Sum of d_i^2 over i in (n, min(2n, max_n)]: the Cauchy proxy."""
     top = min(2 * n, spec.max_n)
-    return float(sum(d_coefficient(spec, i) ** 2 for i in range(n + 1, top + 1)))
+    # Python floats, summed in index order: numpy's pairwise sum and its
+    # vector power each change the last bits of some tails
+    return float(sum(d**2 for d in spec.d[n:top].tolist()))
 
 
 def segment_scalars(spec: LargeMarketSpec, n: int) -> TransformedModel:
@@ -219,6 +228,8 @@ def martingale_density(spec: LargeMarketSpec, n: int, z, eps):
     scalar with ``eps`` of shape (n,), or draws of shape (m,) with ``eps``
     of shape (m, n).
     """
+    if not 1 <= n <= spec.max_n:
+        raise ValueError(f"segment size n={n} outside 1..{spec.max_n}")
     z = _check_z(spec, z)
     eps = np.asarray(eps, dtype=float)
     scalar = z.ndim == 0
@@ -228,10 +239,13 @@ def martingale_density(spec: LargeMarketSpec, n: int, z, eps):
         raise ValueError(
             f"eps shape {eps.shape} incompatible with n={n} and {z2.size} z draws"
         )
-    expo = np.zeros(z2.size)
-    for i in range(1, n + 1):
-        b = b_function(spec, i, z2)
-        expo += b * e2[:, i - 1] - 0.5 * b * b
+    # b_i(z) = -(gamma'_i sqrt(z) + mu'_i / sqrt(z)), so the sums over i
+    # reduce to dot products with the effective coefficients
+    mu_p, gamma_p = spec.mu_p[:n], spec.gamma_p[:n]
+    rz = np.sqrt(z2)
+    b_eps = -(rz * (e2 @ gamma_p) + (e2 @ mu_p) / rz)
+    b_sq = z2 * float(gamma_p @ gamma_p) + 2.0 * float(gamma_p @ mu_p) + float(mu_p @ mu_p) / z2
+    expo = b_eps - 0.5 * b_sq
     out = np.exp(expo)
     return float(out[0]) if scalar else out
 

@@ -55,12 +55,49 @@ def bessel_k(lam: float, x):
 
 
 def log_bessel_k(lam: float, x):
-    """log K_lam(x) via the exponentially scaled Bessel function."""
+    """log K_lam(x) via the exponentially scaled Bessel function, or by
+    quadrature where that overflows (large |lam| against x)."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise MixingDomainError(f"log_bessel_k requires x > 0, got {x}")
     out = np.log(kve(lam, x)) - x
+    if np.isinf(out).any():
+        out = np.where(np.isinf(out), np.vectorize(_log_bessel_k_quad)(lam, x), out)
     return float(out) if out.ndim == 0 else out
+
+
+def _log_bessel_k_quad(lam: float, x: float) -> float:
+    """log K_lam(x) from K_lam(x) = int_0^inf exp(-x cosh t) cosh(lam t) dt.
+
+    The exponent |lam| t - x cosh t is concave with its peak at
+    t0 = asinh(|lam|/x) and curvature at least c = hypot(x, lam) beyond it,
+    so the integrand is below exp(-800) of its peak past t0 + 40/sqrt(c).
+    """
+    # imported here: scipy.integrate slows every start-up, and only orders
+    # where kve overflows get here
+    from scipy.integrate import quad
+
+    nu = abs(lam)
+    t0 = math.asinh(nu / x)
+    top = nu * t0 - x * math.cosh(t0)
+    width = 40.0 / math.sqrt(math.hypot(x, nu))
+
+    def f(t):
+        return math.exp(nu * t - x * math.cosh(t) - top) * 0.5 * (1.0 + math.exp(-2.0 * nu * t))
+
+    cuts = sorted({0.0, max(0.0, t0 - width), t0, t0 + width})
+    total = sum(
+        quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(cuts, cuts[1:])
+    )
+    return top + math.log(total)
+
+
+def _bessel_ratio(lam: float, r: float, x: float) -> float:
+    """K_{lam+r}(x) / K_lam(x), in log space where either one overflows."""
+    num, den = kve(lam + r, x), kve(lam, x)
+    if math.isinf(num) or math.isinf(den):
+        return math.exp(log_bessel_k(lam + r, x) - log_bessel_k(lam, x))
+    return num / den
 
 
 # GIG moments fall back to quadrature once the binomial expansion's terms
@@ -121,7 +158,7 @@ class MixingDistribution:
         raise NotImplementedError
 
     def _laplace_deriv(self, s: float) -> float:
-        return self._laplace_log_deriv(s) * float(np.exp(self._log_laplace(s)))
+        return self._laplace_log_deriv(s) * math.exp(self._log_laplace(s))
 
     def _laplace_log_deriv(self, s: float) -> float:
         raise NotImplementedError
@@ -138,8 +175,7 @@ class MixingDistribution:
 
     @property
     def variance(self) -> float:
-        m = self.mean
-        return self.moment(2.0) - m * m
+        return self.mixed_central_moment(2, 0.0)
 
     def mixed_central_moment(self, i: int, p: float) -> float:
         """E[(Z - EZ)^i Z^p]; by default the binomial expansion of (Z - EZ)^i."""
@@ -297,16 +333,12 @@ class GIG(MixingDistribution):
         # GIG(lam, chi, psi+2s), so L'(s)/L(s) = -E_tilted[Z].
         u = self.psi + 2.0 * s
         x = math.sqrt(self.chi * u)
-        ratio = kve(self.lam + 1.0, x) / kve(self.lam, x)
-        return -math.sqrt(self.chi / u) * ratio
-
-    def _laplace_deriv(self, s):
-        return self._laplace_log_deriv(s) * math.exp(self._log_laplace(s))
+        return -math.sqrt(self.chi / u) * _bessel_ratio(self.lam, 1.0, x)
 
     def moment(self, r):
         w = self._omega
         return math.exp(
-            math.log(kve(self.lam + r, w) / kve(self.lam, w))
+            math.log(_bessel_ratio(self.lam, r, w))
             + 0.5 * r * (math.log(self.chi) - math.log(self.psi))
         )
 
@@ -316,7 +348,10 @@ class GIG(MixingDistribution):
         total, size = self._binomial_central(i, p)
         if size <= _CANCELLATION_LIMIT * abs(total):
             return total
-        mean, var = self.mean, self.variance
+        # a rough variance picks the path and the window; self.variance
+        # would come back here
+        mean = self.mean
+        var = self.moment(2.0) - mean * mean
         if 16.0 * var > mean * mean:
             return total
         # imported here: scipy.integrate would add about half a second and
@@ -403,9 +438,6 @@ class BoundedUniform(MixingDistribution):
     def _laplace_log_deriv(self, s):
         t = s * (self.high - self.low)
         return -self.high + (self.high - self.low) * self._dlog_f(t)
-
-    def _laplace_deriv(self, s):
-        return self._laplace_log_deriv(s) * math.exp(self._log_laplace(s))
 
     def moment(self, r):
         c, d = self.low, self.high

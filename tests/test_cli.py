@@ -273,6 +273,20 @@ def test_large_market_decay_spec(tmp_path):
     assert gaps[-1] < 1e-4
 
 
+def test_large_market_long_horizon_nonincreasing(tmp_path):
+    # the shipped coefficients swept to max_n = 2^18
+    block = json.loads((SPECS / "large_market.json").read_text())["large_market"]
+    block["max_n"] = 2**18
+    block["n_list"] = [2**k for k in range(2, 18)]
+    out = tmp_path / "out.csv"
+    assert main(["large-market", "--spec", write_spec(tmp_path, {"large_market": block}), "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:-1]]
+    assert [int(r[0]) for r in rows] == block["n_list"]
+    u = [float(r[1]) for r in rows]
+    assert all(a >= b for a, b in zip(u, u[1:]))
+    assert all(float(r[3]) > 0.0 for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # mc-verify
 # ---------------------------------------------------------------------------
@@ -361,6 +375,27 @@ def test_invalid_thread_env(tmp_path, capsys):
         assert main(["exp-opt", "--spec", str(SPECS / "gaussian.json"), "--out", str(tmp_path / "o")]) == 1
     finally:
         del os.environ["NMVM_THREADS"]
+
+
+def test_repeated_main_builds_no_new_parser(tmp_path):
+    import argparse
+    import gc
+
+    def parsers():
+        return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+    argv = ["exp-opt", "--spec", str(SPECS / "gaussian.json"), "--out", str(tmp_path / "o.json")]
+    enabled = gc.isenabled()
+    gc.disable()  # parsers left in reference cycles would stay countable
+    try:
+        assert main(argv) == 0
+        before = parsers()
+        for _ in range(5):
+            assert main(argv) == 0
+        assert parsers() == before
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_help_documents_every_flag():

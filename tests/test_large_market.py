@@ -451,3 +451,127 @@ def test_d2_tail_definition():
     spec = decay_spec()
     want = sum(d_coefficient(spec, i) ** 2 for i in range(5, 9))
     assert d2_tail(spec, 4) == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-asset vectors built once, against the scalar per-index reference
+# ---------------------------------------------------------------------------
+
+
+def reference_segment(spec, n):
+    """(mu', gamma') of the first n assets, rebuilt from the raw coefficients."""
+    bb1 = spec.beta_bar[0]
+    ratio = spec.beta[:n] / spec.beta_bar[:n]
+    mu_p = spec.mu[:n] / spec.beta_bar[:n] - ratio * (spec.mu[0] / bb1)
+    gamma_p = spec.gamma[:n] / spec.beta_bar[:n] - ratio * (spec.gamma[0] / bb1)
+    mu_p[0] = spec.mu[0] / bb1
+    gamma_p[0] = spec.gamma[0] / bb1
+    return mu_p, gamma_p
+
+
+def reference_d(spec, i):
+    """d_i from b_function at the support's ends and its stationary point."""
+    lo, hi = spec.z_bounds
+    candidates = [lo, hi]
+    mu_p, gamma_p = reference_segment(spec, i)
+    a, b = -gamma_p[i - 1], -mu_p[i - 1]
+    if a != 0.0:
+        z_star = b / a
+        if lo < z_star < hi:
+            candidates.append(z_star)
+    return max(abs(b_function(spec, i, z)) for z in candidates)
+
+
+def seeded_power_spec(seed, max_n=1024, **overrides):
+    rng = np.random.default_rng(seed)
+    kg, pg, km, pm, kb, pb = rng.uniform([0.3, 1.05, 0.3, 1.05, 0.1, 0.9], [0.7, 1.3, 0.7, 1.3, 0.4, 1.2])
+    kw = dict(
+        gamma_seq=lambda i: kg / i**pg,
+        mu_seq=lambda i: km / i**pm,
+        beta_seq=lambda i: kb / i**pb,
+        beta_bar_seq=lambda i: 1.0,
+        mix=BoundedUniform(0.5, 1.5),
+        max_n=max_n,
+        cauchy_tol=1.0,
+    )
+    kw.update(overrides)
+    return LargeMarketSpec(**kw)
+
+
+VECTOR_CASES = {
+    "distinct-decay": lambda: seeded_power_spec(11),
+    "beta-bar-not-one": lambda: seeded_power_spec(12, beta_bar_seq=lambda i: 0.8 + 0.2 * (i % 3)),
+    "stationary-inside": lambda: seeded_power_spec(13, mu_seq=lambda i: 0.6 / i**1.1, gamma_seq=lambda i: 0.4 / i**1.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+def test_d_vector_and_tails_equal_scalar_reference(case):
+    spec = VECTOR_CASES[case]()
+    want = [reference_d(spec, i) for i in range(1, spec.max_n + 1)]
+    assert spec.d.tolist() == want
+    assert [d_coefficient(spec, i) for i in range(1, spec.max_n + 1)] == want
+    for n in range(1, spec.max_n + 1):
+        top = min(2 * n, spec.max_n)
+        assert d2_tail(spec, n) == float(sum(want[i - 1] ** 2 for i in range(n + 1, top + 1)))
+    mu_p, gamma_p = reference_segment(spec, spec.max_n)
+    assert spec.mu_p.tolist() == mu_p.tolist() and spec.gamma_p.tolist() == gamma_p.tolist()
+
+
+def test_vector_cases_cover_the_stationary_point():
+    # z* = mu'_i / gamma'_i is inside the support for hundreds of assets in
+    # one case and for none in another.  The reference evaluates b_i at z*
+    # too, so the exact match above shows that z* never raises d_i: it is
+    # where |b_i| is smallest
+    def inside(spec):
+        lo, hi = spec.z_bounds
+        z_star = spec.mu_p / spec.gamma_p
+        return int(np.count_nonzero((lo < z_star) & (z_star < hi)))
+
+    assert inside(VECTOR_CASES["stationary-inside"]()) > 500
+    assert inside(VECTOR_CASES["distinct-decay"]()) == 0
+    assert np.any(VECTOR_CASES["beta-bar-not-one"]().beta_bar != 1.0)
+
+
+def test_effective_segment_returns_copies():
+    spec = decay_spec()
+    mu_p, gamma_p = effective_nmvm_segment(spec, 4)
+    mu_p[:] = 0.0
+    gamma_p[:] = 0.0
+    assert effective_nmvm_segment(spec, 4)[0].tolist() == reference_segment(spec, 4)[0].tolist()
+
+
+def test_d_coefficient_index_check():
+    spec = decay_spec(max_n=8)
+    for i in (0, 9):
+        with pytest.raises(ValueError, match="outside"):
+            d_coefficient(spec, i)
+
+
+def test_spec_and_sweep_never_call_b_function(monkeypatch):
+    import nmvmopt.large_market as lm
+
+    def boom(*args, **kwargs):
+        raise AssertionError("b_function called")
+
+    monkeypatch.setattr(lm, "b_function", boom)
+    spec = decay_spec(max_n=512)
+    rows, _ = convergence_study(spec, [4, 16, 64, 256])
+    assert all(r.d2_tail > 0.0 for r in rows)
+    martingale_density(spec, 8, 1.0, np.zeros(8))
+
+
+def test_density_matches_per_asset_loop():
+    spec = decay_spec(beta_bar_seq=lambda i: 0.9 + 0.05 * i)
+    rng = np.random.Generator(np.random.Philox(key=3))
+    n, draws = 6, 1000
+    z = spec.mix.sample(draws, rng=rng)
+    eps = rng.standard_normal((draws, n))
+    want = np.zeros(draws)
+    for i in range(1, n + 1):
+        b = b_function(spec, i, z)
+        want += b * eps[:, i - 1] - 0.5 * b * b
+    np.testing.assert_allclose(martingale_density(spec, n, z, eps), np.exp(want), rtol=1e-13)
+    assert martingale_density(spec, n, z[0], eps[0]) == pytest.approx(math.exp(want[0]), rel=1e-13)
+    with pytest.raises(ValueError, match="outside"):
+        martingale_density(spec, spec.max_n + 1, 1.0, np.zeros(spec.max_n + 1))

@@ -14,6 +14,7 @@ from conftest import (
     gig_quad_moment,
     uniform_quad_central,
 )
+from nmvmopt import mixing
 from nmvmopt.errors import InvalidMomentOrderError, MixingDomainError
 from nmvmopt.mixing import (
     GIG,
@@ -312,6 +313,54 @@ def test_even_central_moments_nonnegative_and_match_quadrature(mix, i, p):
     got = mix.mixed_central_moment(i, p)
     assert got >= 0.0
     assert got == pytest.approx(_central_oracle(mix, i, p), rel=1e-8, abs=0.0)
+
+
+VARIANCE_LAWS = [
+    Constant(2.5),
+    Exponential(0.7),
+    GIG(-0.5, 1.0, 1.0),
+    GIG(2.0, 2.0, 0.5),
+    GIG(0.5, 1e4, 1e4),
+    GIG(-2.0, 1e5, 1e3),
+    BoundedUniform(0.5, 1.5),
+    BoundedUniform(0.99, 1.01),
+]
+
+
+@pytest.mark.parametrize("mix", VARIANCE_LAWS, ids=_ids(VARIANCE_LAWS))
+def test_variance_is_centered_and_matches_quadrature(mix):
+    # moment(2) - mean^2 loses up to 2.7e-11 relative on these laws
+    assert mix.variance == pytest.approx(_central_oracle(mix, 2, 0.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("low,high", [(0.99, 1.01), (0.5, 1.5), (5.0, 5.2), (1e-3, 2e-3)])
+def test_bounded_uniform_variance_closed_form(low, high):
+    assert BoundedUniform(low, high).variance == pytest.approx((high - low) ** 2 / 12.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("lam", [150.0, -150.0, 200.0, -200.0])
+def test_gig_moments_at_large_order(lam):
+    # kve(lam, 1) overflows here; the Bessel ratio is taken in log space
+    g = GIG(lam, 1.0, 1.0)
+    assert g.mean == pytest.approx(gig_quad_central(lam, 1.0, 1.0, 0, 1.0), rel=1e-9)
+    assert g.moment(-1.5) == pytest.approx(gig_quad_central(lam, 1.0, 1.0, 0, -1.5), rel=1e-9)
+    assert g.variance == pytest.approx(gig_quad_central(lam, 1.0, 1.0, 2, 0.0), rel=1e-9)
+    assert g.log_laplace(0.0) == pytest.approx(0.0, abs=1e-12)
+    h = 1e-5
+    slope = (g.log_laplace(0.3 + h) - g.log_laplace(0.3 - h)) / (2.0 * h)
+    assert g.laplace_log_deriv(0.3) == pytest.approx(slope, rel=1e-6)
+
+
+def test_log_bessel_quadrature_route():
+    # the quadrature route agrees with kve where kve is finite ...
+    for lam, x in ((140.0, 1.0), (50.0, 0.1), (0.0, 1.0), (0.5, 3.0), (20.0, 30.0), (2.0, 1e-3)):
+        assert mixing._log_bessel_k_quad(lam, x) == pytest.approx(log_bessel_k(lam, x), rel=1e-13, abs=1e-13)
+    # ... and keeps the recurrence K_{v+1} = K_{v-1} + (2v/x) K_v where it overflows
+    for v in (150.0, 200.0):
+        lk = {o: log_bessel_k(o, 1.0) for o in (v - 1.0, v, v + 1.0)}
+        assert math.isfinite(lk[v])
+        up = math.exp(lk[v + 1.0] - lk[v])
+        assert up == pytest.approx(math.exp(lk[v - 1.0] - lk[v]) + 2.0 * v, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ Samples the NMVM return vector directly from its definition
 X = mu + gamma Z + sqrt(Z) A N and estimates expected utility empirically.
 Everything is driven by a Philox (counter-based) generator pinned per seed,
 so estimates are bit-reproducible, and the common-random-numbers objective
-used by the brute-force optimizers is a deterministic function of the
+used by the brute-force optimizer is a deterministic function of the
 portfolio.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ __all__ = [
     "crn_objective",
     "brute_force_optimize",
     "block_mean",
+    "cov_stderr",
 ]
 
 
@@ -64,6 +64,19 @@ def block_mean(values: np.ndarray, block: int = 65536) -> float:
         float(np.sum(values[i : i + block])) for i in range(0, values.size, block)
     ]
     return math.fsum(partials) / values.size
+
+
+def cov_stderr(returns: np.ndarray) -> np.ndarray:
+    """Standard errors of the sample covariance entries, in O(paths*n) memory.
+
+    Entry (i, j) is the standard error of the mean of c_i c_j over the
+    paths, c being the centered returns, taken from the first two moments
+    of those products instead of a paths x n x n array of them.
+    """
+    paths = returns.shape[0]
+    c = returns - returns.mean(axis=0)
+    sq = c * c
+    return np.sqrt((sq.T @ sq / paths - (c.T @ c / paths) ** 2) / (paths - 1))
 
 
 def _streams(cfg: McConfig) -> tuple[np.random.Generator, np.random.Generator]:
@@ -159,42 +172,27 @@ def crn_objective(
     return objective
 
 
-def _grid_axes(box, points: int):
-    return [np.linspace(lo, hi, points) for lo, hi in box]
-
-
 def brute_force_optimize(
     model: MarketModel,
     mix: MixingDistribution,
     utility,
     cfg: McConfig,
-    method: str = "simplex-descent",
     box=None,
     w0: float = 1.0,
-    grid_points: int = 11,
 ) -> np.ndarray:
     """Argmax of the CRN objective over the box; the test-oracle optimizer.
 
-    ``method`` is "grid" (n <= 6, pure lattice argmax) or "simplex-descent"
-    (coarse lattice seed + Nelder-Mead refinement, objective clipped to the
-    box).  Deterministic for a fixed config.
+    Nelder-Mead starts from the centre of the box, and the objective it
+    minimizes is ``inf`` outside the box.  One local search suffices when
+    the utility is concave, as -exp(-a w) is: wealth is affine in x, so the
+    CRN objective, a sample mean of utilities, is concave in x and its
+    local maximum in the box is the global one.  Deterministic for a fixed
+    config.
     """
     if box is None:
         box = [(-5.0, 5.0)] * model.n
     box = [(float(lo), float(hi)) for lo, hi in box]
-    if method == "grid" and model.n > 6:
-        raise ValueError("grid search is limited to n <= 6")
     objective = crn_objective(model, mix, utility, w0, cfg)
-
-    seed_points = _grid_axes(box, grid_points if method == "grid" else 5)
-    best_x, best_v = None, -math.inf
-    for combo in itertools.product(*seed_points):
-        x = np.array(combo)
-        v = objective(x)
-        if v > best_v:
-            best_x, best_v = x, v
-    if method == "grid":
-        return best_x
 
     def neg(x):
         for xi, (lo, hi) in zip(x, box):
@@ -204,7 +202,7 @@ def brute_force_optimize(
 
     res = minimize(
         neg,
-        best_x,
+        np.array([0.5 * (lo + hi) for lo, hi in box]),
         method="Nelder-Mead",
         options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000, "maxfev": 8000},
     )

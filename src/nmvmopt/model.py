@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateModelError, InfeasiblePortfolioError, SingularModelError
 from .mixing import MixingDistribution
@@ -69,14 +68,6 @@ class MarketModel:
     def excess_mean(self) -> np.ndarray:
         """mu - 1*r_f (location of excess returns)."""
         return self.mu - self.r_f
-
-    def solve_sigma(self, rhs: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} rhs via Cholesky (cross-check path; A is the primitive)."""
-        try:
-            c = cho_factor(self.sigma, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-            raise SingularModelError(str(exc)) from exc
-        return cho_solve(c, rhs)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from conftest import random_spd_market
+from nmvmopt import exp_opt, mc_oracle
 from nmvmopt.mixing import Constant, Exponential
 from nmvmopt.model import MarketModel, Portfolio
 from nmvmopt.mc_oracle import (
@@ -11,6 +14,7 @@ from nmvmopt.mc_oracle import (
     McEstimate,
     block_mean,
     brute_force_optimize,
+    cov_stderr,
     crn_objective,
     mc_expected_utility,
     sample_returns,
@@ -111,8 +115,17 @@ def test_crn_bit_reproducible(rng):
     assert o1(x) == o2(x)
 
 
+def test_cov_stderr_matches_products_reference(rng):
+    x = sample_returns(random_spd_market(rng, 4), Exponential(1.0), McConfig(seed=8, paths=20_000))
+    # reference: standard error of the mean of each paths x n x n product
+    centered = x - x.mean(axis=0)
+    prods = centered[:, :, None] * centered[:, None, :]
+    want = prods.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
+    np.testing.assert_allclose(cov_stderr(x), want, rtol=1e-12)
+
+
 def test_grid_search_symmetric_instance():
-    # exchangeable assets: optimizer returns equal weights at grid resolution
+    # exchangeable assets: the search returns equal weights
     m = MarketModel(
         n=2, r_f=0.0, mu=[0.1, 0.1], gamma=[0.02, 0.02],
         a_matrix=[[0.2, 0.05], [0.05, 0.2]],
@@ -122,19 +135,70 @@ def test_grid_search_symmetric_instance():
         Constant(1.0),
         lambda w: -np.exp(-w),
         McConfig(seed=3, paths=100_000, antithetic=True),
-        method="grid",
         box=[(0.0, 1.0)] * 2,
-        grid_points=21,
     )
-    assert x[0] == pytest.approx(x[1], abs=1e-12)
+    assert x[0] == pytest.approx(x[1], abs=1e-6)
 
 
-def test_grid_rejects_large_n(rng):
-    m = random_spd_market(rng, 7)
-    with pytest.raises(ValueError):
-        brute_force_optimize(
-            m, Constant(1.0), lambda w: -np.exp(-w), McConfig(seed=1, paths=10), "grid"
-        )
+def _neg_exp(w):
+    return -np.exp(-w)
+
+
+def _exp_market(seed, n):
+    """Seeded market with exponential mixing and the box mc-verify searches."""
+    m = random_spd_market(np.random.default_rng(seed), n)
+    mix = Exponential(1.0)
+    span = float(np.max(np.abs(exp_opt.optimize(m, mix).x_star))) * 2.0 + 1.0
+    return m, mix, [(-span, span)] * n
+
+
+def test_search_cost_is_not_exponential_in_n(monkeypatch):
+    # a 5-point lattice per axis alone would make 5^6 = 15,625 calls
+    calls = 0
+
+    def counting(*args, **kwargs):
+        objective = crn_objective(*args, **kwargs)
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return objective(x)
+
+        return counted
+
+    monkeypatch.setattr(mc_oracle, "crn_objective", counting)
+    m, mix, box = _exp_market(6, 6)
+    cfg = McConfig(seed=1, paths=2_000, antithetic=True)
+    brute_force_optimize(m, mix, _neg_exp, cfg, box=box)
+    assert 0 < calls < 10_000
+
+
+def _lattice_then_nelder_mead(objective, box):
+    """Reference: the best point of a 5^n lattice, refined by Nelder-Mead."""
+    axes = [np.linspace(lo, hi, 5) for lo, hi in box]
+    start = max((np.array(p) for p in itertools.product(*axes)), key=objective)
+
+    def neg(x):
+        if any(xi < lo or xi > hi for xi, (lo, hi) in zip(x, box)):
+            return math.inf
+        return -objective(x)
+
+    res = minimize(
+        neg, start, method="Nelder-Mead",
+        options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000, "maxfev": 8000},
+    )
+    return res.x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_matches_lattice_reference(n, seed):
+    m, mix, box = _exp_market(100 * n + seed, n)
+    cfg = McConfig(seed=seed, paths=5_000, antithetic=True)
+    objective = crn_objective(m, mix, _neg_exp, 1.0, cfg)
+    got = objective(brute_force_optimize(m, mix, _neg_exp, cfg, box=box))
+    want = objective(_lattice_then_nelder_mead(objective, box))
+    assert got >= want - 1e-12 * abs(want)
 
 
 def test_brute_force_recovers_gaussian_optimum():

@@ -8,6 +8,18 @@ from .model import MarketModel, Portfolio, TransformedModel, transform
 
 __version__ = "0.1.0"
 
+# Submodules that load on first access (PEP 562), so that importing the
+# package, or the CLI, loads no scipy module it does not use.
+_LAZY_SUBMODULES = frozenset({"cli", "exp_opt", "general_opt", "large_market", "mc_oracle"})
+
+
+def __getattr__(name: str):
+    if name in _LAZY_SUBMODULES:
+        import importlib
+
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 __all__ = [
     "MixingDistribution",
     "Constant",

@@ -22,10 +22,13 @@ import math
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import exp_opt, general_opt, large_market, mc_oracle
+# general_opt is imported by the subcommand that uses it: it loads
+# scipy.optimize, which would add about 0.4 s to every start-up
+from . import exp_opt, large_market, mc_oracle
 from .errors import (
     DegenerateModelError,
     InfeasiblePointError,
@@ -44,6 +47,9 @@ _INFEASIBLE_ERRORS = (
     InfeasiblePointError,
     MixingDomainError,
 )
+
+if TYPE_CHECKING:
+    from . import general_opt
 
 DEFAULT_SEED = 20240817
 
@@ -334,6 +340,8 @@ def run_exp_opt(spec_path: str, out_path: str) -> int:
 
 def _parse_utility(text: str, a_exp: float) -> tuple[general_opt.UtilitySpec, float]:
     """Returns (utility, a) where a is the exponential coefficient in use."""
+    from . import general_opt
+
     kind, _, param = text.partition(":")
     try:
         if kind == "exponential":
@@ -358,6 +366,8 @@ def _parse_utility(text: str, a_exp: float) -> tuple[general_opt.UtilitySpec, fl
 
 
 def run_general_opt(spec_path: str, out_path: str, order: int, utility_text: str) -> int:
+    from . import general_opt
+
     raw = load_spec(spec_path)
     model = parse_model(_need(raw, "model"))
     mix = parse_mixing(_need(raw, "mixing"))
@@ -456,7 +466,7 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
         return -np.exp(-a * w)
 
     est = mc_oracle.mc_expected_utility(
-        model, mix, utility, Portfolio(res.x_star, w0, a), cfg
+        model, mix, utility, Portfolio(res.x_star, w0, a), cfg, returns
     )
     zu = abs(est.estimate - res.optimal_utility) / est.stderr
     check(
@@ -467,11 +477,11 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
 
     span = float(np.max(np.abs(res.x_star))) * 2.0 + 1.0
     x_bf = mc_oracle.brute_force_optimize(
-        model, mix, utility, cfg, box=[(-span, span)] * model.n, w0=w0
+        model, mix, utility, cfg, box=[(-span, span)] * model.n, w0=w0, returns=returns
     )
-    # the CRN objective draws the same antithetic sample as ``est``, so
+    # the CRN objective averages the same antithetic sample as ``est``, so
     # crn(x*) is est.estimate to the bit
-    obj = mc_oracle.crn_objective(model, mix, utility, w0, cfg)
+    obj = mc_oracle.crn_objective(model, mix, utility, w0, cfg, returns)
     gap = est.estimate - obj(x_bf)
     check(
         "dominance",

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from ._brent import brentq, minimize_bounded
 from .errors import DegenerateModelError, InfeasiblePortfolioError, NoRootError
 from .mixing import MixingDistribution
 from .model import (
@@ -132,17 +132,15 @@ def _minimize_on_interval(log_h, stationarity, lo: float, hi: float):
         b = grid[min(i + 1, _GRID_POINTS - 1)]
         if b - a <= _XATOL:
             continue
-        res = minimize_scalar(
-            f, bounds=(a, b), method="bounded", options={"xatol": _XATOL, "maxiter": 500}
-        )
-        if res.fun < best_v:
-            best_t, best_v = float(res.x), float(res.fun)
+        t, v, _ = minimize_bounded(f, a, b, xatol=_XATOL, maxiter=500)
+        if v < best_v:
+            best_t, best_v = t, v
             best_bracket = (float(a), float(b))
     if lo < best_t < hi:
         a, b = best_bracket
         try:
             if stationarity(a) < 0.0 < stationarity(b):
-                best_t = float(brentq(stationarity, a, b, xtol=1e-15))
+                best_t = brentq(stationarity, a, b, xtol=1e-15)
         except ValueError:  # pragma: no cover - multiple roots in bracket
             pass
     # endpoints win ties at tolerance (leftmost deterministic choice)
@@ -218,7 +216,7 @@ def solve_foc(tm: TransformedModel, mix: MixingDistribution) -> tuple[float, flo
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(float(brentq(stationarity, grid[i], grid[i + 1], xtol=1e-14)))
+            roots.append(brentq(stationarity, grid[i], grid[i + 1], xtol=1e-14))
     if not roots:
         raise NoRootError(
             "no stationarity root bracketed in "

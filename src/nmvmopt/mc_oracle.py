@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .mixing import MixingDistribution
 from .model import MarketModel, Portfolio
@@ -123,14 +122,18 @@ def mc_expected_utility(
     utility,
     portfolio: Portfolio,
     cfg: McConfig,
+    returns: np.ndarray | None = None,
 ) -> McEstimate:
     """Empirical E[U(W(x))] with standard error.
 
     ``utility`` is a callable w -> U(w) or any object with a ``value``
     attribute (e.g. a UtilitySpec).  Non-finite draws (such as log utility
     hit by nonpositive wealth) propagate into the estimate and are counted.
+    ``returns``, if given, is ``sample_returns(model, mix, cfg)`` drawn
+    once by the caller; by default it is drawn here.
     """
-    returns = sample_returns(model, mix, cfg)
+    if returns is None:
+        returns = sample_returns(model, mix, cfg)
     vals = _utility_fn(utility)(_wealth(model, returns, portfolio.x, portfolio.w0))
     vals = np.asarray(vals, dtype=float)
     n_bad = int(np.size(vals) - np.count_nonzero(np.isfinite(vals)))
@@ -152,14 +155,17 @@ def crn_objective(
     utility,
     w0: float,
     cfg: McConfig,
+    returns: np.ndarray | None = None,
 ):
     """Deterministic common-random-numbers objective x -> estimated E[U(W)].
 
-    One sample set is drawn up front and shared by every probe portfolio,
-    so the surrogate is a smooth deterministic function suitable for argmax
+    One sample set is drawn up front (or passed in as ``returns``, see
+    ``mc_expected_utility``) and shared by every probe portfolio, so the
+    surrogate is a smooth deterministic function suitable for argmax
     comparisons.
     """
-    returns = sample_returns(model, mix, cfg)
+    if returns is None:
+        returns = sample_returns(model, mix, cfg)
     ufn = _utility_fn(utility)
     half = returns.shape[0] // 2 if cfg.antithetic else None
 
@@ -179,6 +185,7 @@ def brute_force_optimize(
     cfg: McConfig,
     box=None,
     w0: float = 1.0,
+    returns: np.ndarray | None = None,
 ) -> np.ndarray:
     """Argmax of the CRN objective over the box; the test-oracle optimizer.
 
@@ -187,12 +194,15 @@ def brute_force_optimize(
     the utility is concave, as -exp(-a w) is: wealth is affine in x, so the
     CRN objective, a sample mean of utilities, is concave in x and its
     local maximum in the box is the global one.  Deterministic for a fixed
-    config.
+    config; ``returns`` is as in ``crn_objective``.
     """
+    # imported here: scipy.optimize adds about 0.4 s to every start-up
+    from scipy.optimize import minimize
+
     if box is None:
         box = [(-5.0, 5.0)] * model.n
     box = [(float(lo), float(hi)) for lo, hi in box]
-    objective = crn_objective(model, mix, utility, w0, cfg)
+    objective = crn_objective(model, mix, utility, w0, cfg, returns)
 
     def neg(x):
         for xi, (lo, hi) in zip(x, box):

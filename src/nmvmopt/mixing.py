@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, kv, kve
 
 from .errors import InvalidMomentOrderError, MixingDomainError
 
@@ -41,6 +40,15 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on first use: it adds about 0.35 s to
+    start-up, and only GIG laws and Exponential moments need it."""
+    import scipy.special
+
+    return scipy.special
+
+
 def bessel_k(lam: float, x):
     """Modified Bessel function of the second kind K_lam(x), x > 0.
 
@@ -50,7 +58,7 @@ def bessel_k(lam: float, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise MixingDomainError(f"bessel_k requires x > 0, got {x}")
-    out = kv(lam, x)
+    out = _special().kv(lam, x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -60,7 +68,7 @@ def log_bessel_k(lam: float, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise MixingDomainError(f"log_bessel_k requires x > 0, got {x}")
-    out = np.log(kve(lam, x)) - x
+    out = np.log(_special().kve(lam, x)) - x
     if np.isinf(out).any():
         out = np.where(np.isinf(out), np.vectorize(_log_bessel_k_quad)(lam, x), out)
     return float(out) if out.ndim == 0 else out
@@ -94,6 +102,7 @@ def _log_bessel_k_quad(lam: float, x: float) -> float:
 
 def _bessel_ratio(lam: float, r: float, x: float) -> float:
     """K_{lam+r}(x) / K_lam(x), in log space where either one overflows."""
+    kve = _special().kve
     num, den = kve(lam + r, x), kve(lam, x)
     if math.isinf(num) or math.isinf(den):
         return math.exp(log_bessel_k(lam + r, x) - log_bessel_k(lam, x))
@@ -280,7 +289,7 @@ class Exponential(MixingDistribution):
             raise InvalidMomentOrderError(
                 f"E[Z^r] diverges for Exponential when r <= -1 (r={r})"
             )
-        return math.exp(gammaln(1.0 + r) - r * math.log(self.rate))
+        return math.exp(_special().gammaln(1.0 + r) - r * math.log(self.rate))
 
     def _sample(self, rng, count):
         return rng.exponential(scale=1.0 / self.rate, size=count)

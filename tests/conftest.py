@@ -23,41 +23,40 @@ settings.load_profile("deterministic")
 # ---------------------------------------------------------------------------
 
 
-def _gig_weight(lam, chi, psi, extra_exp=0.0, power=0.0):
-    """Integrand z^(lam-1+power) exp(-chi/(2z) - (psi/2 + extra_exp) z),
-    evaluated in one exponential so tilted integrands cannot overflow."""
+def _gig_log_quad(lam, chi, psi, extra_exp=0.0, power=0.0):
+    """log of the integral of z^(lam-1+power) exp(-chi/(2z) - (psi/2 + extra_exp) z)
+    over z > 0.  The integrand is shifted by its log-value at its mode, so
+    neither it nor the integral overflows at large |lam| (the unshifted
+    peak passes 1e308 from about |lam| = 140)."""
+    k, b = lam - 1.0 + power, psi + 2.0 * extra_exp
+    mode = (math.sqrt(k * k + chi * b) + k) / b
+
+    def log_f(z):
+        return k * math.log(z) - 0.5 * chi / z - 0.5 * b * z
+
+    top = log_f(mode)
 
     def f(z):
-        return math.exp(
-            (lam - 1.0 + power) * math.log(z)
-            - 0.5 * chi / z
-            - (0.5 * psi + extra_exp) * z
-        )
+        return math.exp(log_f(z) - top) if z > 0 else 0.0
 
-    return f
-
-
-def _gig_quad(lam, chi, psi, extra_exp=0.0, power=0.0):
-    f = _gig_weight(lam, chi, psi, extra_exp, power)
-    mode = (math.sqrt((lam - 1) ** 2 + chi * (psi + 2 * extra_exp)) + (lam - 1)) / (
-        psi + 2 * extra_exp
-    )
     val = 0.0
-    for a, b in ((0.0, mode), (mode, math.inf)):
-        val += quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400)[0]
-    return val
+    for a, c in ((0.0, mode), (mode, math.inf)):
+        val += quad(f, a, c, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+    return top + math.log(val)
 
 
 def gig_quad_moment(lam, chi, psi, r):
-    return _gig_quad(lam, chi, psi, power=r) / _gig_quad(lam, chi, psi)
+    return math.exp(_gig_log_quad(lam, chi, psi, power=r) - _gig_log_quad(lam, chi, psi))
 
 
 def gig_quad_laplace(lam, chi, psi, s):
-    return _gig_quad(lam, chi, psi, extra_exp=s) / _gig_quad(lam, chi, psi)
+    return math.exp(_gig_log_quad(lam, chi, psi, extra_exp=s) - _gig_log_quad(lam, chi, psi))
 
 
 def gig_quad_laplace_deriv(lam, chi, psi, s):
-    return -_gig_quad(lam, chi, psi, extra_exp=s, power=1.0) / _gig_quad(lam, chi, psi)
+    return -math.exp(
+        _gig_log_quad(lam, chi, psi, extra_exp=s, power=1.0) - _gig_log_quad(lam, chi, psi)
+    )
 
 
 def _central_quad(weight, lo, hi, mean, sd, i, p):

@@ -373,15 +373,14 @@ def test_outputs_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_outputs_byte_identical_across_thread_env(tmp_path):
+def test_outputs_byte_identical_across_processes(tmp_path):
     outs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"t{threads}.json"
-        env = dict(os.environ, NMVM_THREADS=threads)
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.json"
         subprocess.run(
             [sys.executable, "-m", "nmvmopt", "exp-opt",
              "--spec", str(SPECS / "exp1.json"), "--out", str(out)],
-            check=True, env=env, cwd=str(REPO),
+            check=True, cwd=str(REPO),
         )
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -423,3 +422,82 @@ def test_help_documents_every_flag():
         text = sub.format_help()
         for flag in flags:
             assert flag in text, f"{cmd} help missing {flag}"
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy loads only where a subcommand needs it
+# ---------------------------------------------------------------------------
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this checkout."""
+    path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        cwd=str(REPO), capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
+_SCIPY_MODULES = "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_import_cli_loads_no_scipy():
+    assert _fresh_python("import nmvmopt.cli" + _SCIPY_MODULES).strip() == "[]"
+
+
+def _main_calls(*argvs) -> str:
+    """Code that runs ``cli.main`` on each argv and checks its exit code."""
+    return "from nmvmopt import cli\n" + "".join(f"assert cli.main({a!r}) == 0\n" for a in argvs)
+
+
+def test_exp_opt_and_large_market_load_no_scipy(tmp_path):
+    code = _main_calls(
+        ["exp-opt", "--spec", str(SPECS / "exp1.json"), "--out", str(tmp_path / "e.json")],
+        ["exp-opt", "--spec", str(SPECS / "gaussian.json"), "--out", str(tmp_path / "g.json")],
+        ["large-market", "--spec", str(SPECS / "large_market.json"), "--out", str(tmp_path / "l.csv")],
+    )
+    assert _fresh_python(code + _SCIPY_MODULES).strip() == "[]"
+    # a GIG law needs scipy.special for its Bessel functions, and no more
+    code = _main_calls(["exp-opt", "--spec", str(SPECS / "gig.json"), "--out", str(tmp_path / "b.json")])
+    loaded = _fresh_python(code + _SCIPY_MODULES)
+    assert "'scipy.special'" in loaded and "scipy.optimize" not in loaded
+
+
+def test_package_resolves_submodules_on_first_access():
+    import nmvmopt
+
+    # the benchmark tracer reads nmvmopt.general_opt without importing it
+    code = "import nmvmopt\nprint(nmvmopt.general_opt.__name__, nmvmopt.mc_oracle.__name__)"
+    assert _fresh_python(code).split() == ["nmvmopt.general_opt", "nmvmopt.mc_oracle"]
+    with pytest.raises(AttributeError):
+        getattr(nmvmopt, "no_such_module")
+
+
+@pytest.mark.parametrize("argv", [
+    ["general-opt", "--spec", str(SPECS / "gig.json")],
+    ["mc-verify", "--spec", str(SPECS / "exp1.json"), "--paths", "20000"],
+])
+def test_lazily_imported_subcommands_match_in_process_output(tmp_path, argv, capsys):
+    # a fresh interpreter imports scipy.optimize only once the subcommand
+    # runs; the test process imported it up front
+    fresh, here = tmp_path / "fresh.out", tmp_path / "here.out"
+    _fresh_python(_main_calls(argv + ["--out", str(fresh)]))
+    assert main(argv + ["--out", str(here)]) == 0
+    assert fresh.read_bytes() == here.read_bytes()
+
+
+def test_mc_verify_draws_its_sample_once(tmp_path, monkeypatch, capsys):
+    from nmvmopt import mc_oracle
+
+    draws = []
+    sample_returns = mc_oracle.sample_returns
+
+    def counting(*args, **kwargs):
+        draws.append(1)
+        return sample_returns(*args, **kwargs)
+
+    monkeypatch.setattr(mc_oracle, "sample_returns", counting)
+    argv = ["mc-verify", "--spec", str(SPECS / "gig.json"), "--paths", "20000"]
+    assert main(argv + ["--out", str(tmp_path / "r.txt")]) == 0
+    assert len(draws) == 1

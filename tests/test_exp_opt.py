@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
+from scipy.optimize import minimize_scalar
 
 from conftest import gaussian_exp_utility, random_spd_market, sane_exp_market
 from nmvmopt.errors import DegenerateModelError
@@ -16,6 +18,7 @@ from nmvmopt.model import (
     transform,
 )
 from nmvmopt import mc_oracle
+from nmvmopt._brent import brentq, minimize_bounded
 from nmvmopt.exp_opt import (
     h_function,
     log_g_min,
@@ -379,3 +382,89 @@ def test_exp1_instance_against_crn_brute_force(rng):
     )
     obj = mc_oracle.crn_objective(m, e, lambda w: -np.exp(-w), 1.0, cfg)
     assert obj(res.x_star) >= obj(x_bf) - 3.0 * est.stderr
+
+
+# ---------------------------------------------------------------------------
+# in-package Brent solvers: the same bits as scipy's
+# ---------------------------------------------------------------------------
+
+
+def _scalar_cases(count=240):
+    """Seeded (kind, coefficients, lo, hi); kinds alternate smooth and
+    non-smooth: 0 quadratic, 1 kink plus ripple, 2 multimodal, 3 steps on
+    a quartic, 4 flat steps (ties between function values)."""
+    rng = np.random.default_rng(7007)
+    for k in range(count):
+        c = [float(v) for v in rng.normal(size=3)]
+        lo = float(rng.uniform(-5.0, 0.0))
+        yield k % 5, c, lo, lo + float(rng.uniform(1e-6, 6.0))
+
+
+def _objective(kind, c):
+    if kind == 0:
+        return lambda x: (x - c[0]) ** 2 * (1.0 + c[1] ** 2) + c[2]
+    if kind == 1:
+        return lambda x: abs(x - c[0]) + 0.1 * math.sin(5.0 * c[1] * x)
+    if kind == 2:
+        return lambda x: math.cos(3.0 * c[0] * x) + c[1] * x
+    if kind == 3:
+        return lambda x: math.floor(4.0 * (x - c[0])) * c[1] + (x - c[2]) ** 4
+    return lambda x: float(math.floor(2.0 * abs(x - c[0])))
+
+
+def _signed(kind, c, root):
+    """Functions with one sign change at ``root``; kind 2 is so small that
+    products of its values underflow to zero, kind 4 is steep on one side."""
+    if kind == 0:
+        return lambda x: math.tanh(3.0 * c[0] * (x - root)) + 1e-3 * c[2] * (x - root)
+    if kind == 1:
+        return lambda x: math.copysign(abs(x - root) ** 0.3, x - root)
+    if kind == 2:
+        return lambda x: 1e-200 * (x - root) ** 3
+    if kind == 3:
+        return lambda x: (x - root) * (1.0 if x > root else 5.0 + c[1] ** 2)
+    return lambda x: math.expm1(4.0 * (x - root)) + c[0] ** 2 * (x - root) ** 3
+
+
+def test_minimize_bounded_matches_scipy_bit_for_bit():
+    capped = 0
+    for kind, c, lo, hi in _scalar_cases():
+        f = _objective(kind, c)
+        for xatol, maxiter in ((1e-12, 500), (1e-5, 500), (1e-12, 7)):
+            ref = minimize_scalar(
+                f, bounds=(lo, hi), method="bounded", options={"xatol": xatol, "maxiter": maxiter}
+            )
+            x, fx, nfev = minimize_bounded(f, lo, hi, xatol=xatol, maxiter=maxiter)
+            assert (x, fx, nfev) == (float(ref.x), float(ref.fun), ref.nfev)
+            capped += ref.status == 1
+    assert capped > 100  # the maxiter cap is exercised, not only convergence
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    for kind, c, lo, hi in _scalar_cases():
+        root = lo + (hi - lo) * (0.5 + 0.4 * math.tanh(c[2]))
+        f = _signed(kind, c, root)
+        for xtol in (1e-15, 1e-14, 1e-6, 1e-2):
+            assert brentq(f, lo, hi, xtol=xtol) == scipy_brentq(f, lo, hi, xtol=xtol)
+
+
+def test_brentq_root_at_endpoint():
+    assert brentq(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-15) == 1.0
+    assert brentq(lambda x: x - 2.0, 1.0, 2.0, xtol=1e-15) == 2.0
+
+
+def test_brentq_errors_like_scipy():
+    for f in (lambda x: x * x + 1.0, lambda x: math.nan):
+        with pytest.raises(ValueError):
+            scipy_brentq(f, -1.0, 1.0, xtol=1e-15)
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0, xtol=1e-15)
+    # a NaN met inside the bracket, and too few iterations to converge
+    for f, maxiter, error in (
+        (lambda x: math.nan if abs(x) < 0.5 else x, 100, ValueError),
+        (lambda x: math.copysign(abs(x - 0.3) ** 0.1, x - 0.3), 2, RuntimeError),
+    ):
+        with pytest.raises(error):
+            scipy_brentq(f, -1.0, 2.0, xtol=1e-15, maxiter=maxiter)
+        with pytest.raises(error):
+            brentq(f, -1.0, 2.0, xtol=1e-15, maxiter=maxiter)

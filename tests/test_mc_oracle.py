@@ -115,6 +115,24 @@ def test_crn_bit_reproducible(rng):
     assert o1(x) == o2(x)
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_predrawn_returns_give_the_same_bits(rng, antithetic):
+    m = random_spd_market(rng, 3)
+    e = Exponential(1.0)
+    cfg = McConfig(seed=4, paths=10_001, antithetic=antithetic)
+    u = lambda w: -np.exp(-w)
+    returns = sample_returns(m, e, cfg)
+    pf = Portfolio(np.array([0.4, -0.1, 0.2]), 1.0, 1.0)
+    assert mc_expected_utility(m, e, u, pf, cfg, returns) == mc_expected_utility(m, e, u, pf, cfg)
+    assert crn_objective(m, e, u, 1.0, cfg, returns)(pf.x) == crn_objective(m, e, u, 1.0, cfg)(pf.x)
+    small = McConfig(seed=4, paths=2_000, antithetic=antithetic)
+    box = [(-2.0, 2.0)] * 3
+    np.testing.assert_array_equal(
+        brute_force_optimize(m, e, u, small, box, returns=sample_returns(m, e, small)),
+        brute_force_optimize(m, e, u, small, box),
+    )
+
+
 def test_cov_stderr_matches_products_reference(rng):
     x = sample_returns(random_spd_market(rng, 4), Exponential(1.0), McConfig(seed=8, paths=20_000))
     # reference: standard error of the mean of each paths x n x n product

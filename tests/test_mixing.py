@@ -351,6 +351,20 @@ def test_gig_moments_at_large_order(lam):
     assert g.laplace_log_deriv(0.3) == pytest.approx(slope, rel=1e-6)
 
 
+@pytest.mark.parametrize("lam", [150.0, -150.0, 200.0, -200.0])
+def test_gig_large_order_matches_mode_shifted_oracles(lam):
+    # the unshifted quadrature integrands overflowed here; the oracles now
+    # integrate in log space around each integrand's mode
+    g = GIG(lam, 1.0, 1.0)
+    for r in (-1.5, 0.5, 1.0, 2.0):
+        assert g.moment(r) == pytest.approx(gig_quad_moment(lam, 1.0, 1.0, r), rel=1e-11)
+    for s in (-0.3, 0.0, 0.3, 1.0):
+        assert g.laplace(s) == pytest.approx(gig_quad_laplace(lam, 1.0, 1.0, s), rel=1e-11)
+        assert g.laplace_deriv(s) == pytest.approx(
+            gig_quad_laplace_deriv(lam, 1.0, 1.0, s), rel=1e-11
+        )
+
+
 def test_log_bessel_quadrature_route():
     # the quadrature route agrees with kve where kve is finite ...
     for lam, x in ((140.0, 1.0), (50.0, 0.1), (0.0, 1.0), (0.5, 3.0), (20.0, 30.0), (2.0, 1e-3)):

@@ -15,6 +15,7 @@ import numpy as np
 
 from nmvmopt.exp_opt import optimize
 from nmvmopt.general_opt import (
+    ReducedDomain,
     UtilitySpec,
     exp_feasible_domain,
     m_objective,
@@ -50,7 +51,7 @@ def main():
 
     u = UtilitySpec.exponential(1.0)
     rho_star = reduce_portfolio(res.x_star, tm, m).rho
-    dom = exp_feasible_domain(tm, mix, 1.0, 1.0, rho=(0.0, 1.5 * rho_star))
+    dom = exp_feasible_domain(tm, mix, 1.0, 1.0, ReducedDomain(rho=(0.0, 1.5 * rho_star)))
     print(f"\n{'order':>6} {'exact U at x_K':>16} {'rel loss':>12} {'trunc gap':>12}")
     for order in args.orders:
         point = optimize_3d(tm, mix, u, order=order, w0=1.0, r_f=m.r_f, domain=dom)

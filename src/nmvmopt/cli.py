@@ -374,12 +374,9 @@ def run_general_opt(spec_path: str, out_path: str, order: int, utility_text: str
     a, w0 = parse_investor(_need(raw, "investor"))
     utility, a_util = _parse_utility(utility_text, a)
     tm = transform(model, mix)
-    box = {"phi": (-1.0, 1.0), "psi": (-1.0, 1.0), "rho": (0.0, 5.0)}
-    box.update(_domain(raw, *box))
+    domain = general_opt.ReducedDomain(**_domain(raw, "phi", "psi", "rho"))
     if utility.kind == "exponential":
-        domain = general_opt.exp_feasible_domain(tm, mix, a_util, w0, **box)
-    else:
-        domain = general_opt.ReducedDomain(**box)
+        domain = general_opt.exp_feasible_domain(tm, mix, a_util, w0, domain)
     point = general_opt.optimize_3d(
         tm, mix, utility, order=order, w0=w0, r_f=model.r_f, domain=domain
     )
@@ -396,6 +393,12 @@ def run_general_opt(spec_path: str, out_path: str, order: int, utility_text: str
         gap = abs(
             m_value
             - general_opt.m_objective(point, utility, order + 1, tm, mix, w0, model.r_f)
+        )
+    if not math.isfinite(gap) or gap > abs(m_value):
+        print(
+            f"note: truncation gap {gap:.3g} exceeds |m_value| {abs(m_value):.3g}; the "
+            f"order-{order} expansion does not approximate the expected utility here",
+            file=sys.stderr,
         )
     payload = {
         "alpha": point.phi,

@@ -91,21 +91,22 @@ def h_function(tm: TransformedModel, mix: MixingDistribution, theta: float) -> f
     return math.exp(log_h_function(tm, mix, theta))
 
 
-def _default_left_edge(tm, mix, log_h) -> float:
+def _default_left_edge(tm, log_h) -> float:
     """Left end of the search interval for the full problem."""
     if math.isfinite(tm.theta0):
         return -tm.theta0 + _EDGE * max(1.0, tm.theta0)
     # theta0 = +inf: expand leftward until H stops decreasing at the edge
-    left = 1.0
+    left, at_left = 1.0, log_h(-1.0)
     for _ in range(200):
-        if log_h(-2.0 * left) > log_h(-left):
+        further = log_h(-2.0 * left)
+        if further > at_left:
             return -2.0 * left
-        left *= 2.0
+        left, at_left = 2.0 * left, further
     raise RuntimeError("h-function appears to decrease indefinitely")  # pragma: no cover
 
 
 def _minimize_on_interval(log_h, stationarity, lo: float, hi: float):
-    """Grid-seeded bounded minimization; returns (theta, evals).
+    """Grid-seeded bounded minimization; returns (theta, log H there, evals).
 
     A value-only search cannot place a smooth minimum better than about
     sqrt(eps), so interior minima get a final polish by root-finding the
@@ -143,10 +144,11 @@ def _minimize_on_interval(log_h, stationarity, lo: float, hi: float):
                 best_t = brentq(stationarity, a, b, xtol=1e-15)
         except ValueError:  # pragma: no cover - multiple roots in bracket
             pass
-    # endpoints win ties at tolerance (leftmost deterministic choice)
-    for t in (lo, hi):
-        if log_h(t) < best_v - 1e-15:
-            best_t, best_v = t, log_h(t)
+    # endpoints win ties at tolerance (leftmost deterministic choice); the
+    # grid holds both, so their values are vals[0] and vals[-1]
+    for t, v in ((lo, vals[0]), (hi, vals[-1])):
+        if v < best_v - 1e-15:
+            best_t, best_v = t, float(v)
     return best_t, best_v, evals
 
 
@@ -159,7 +161,7 @@ def _stationarity(tm, mix, theta: float) -> float:
 def _minimize_h_impl(tm, mix, domain=None):
     log_h = lambda t: log_h_function(tm, mix, t)
     if domain is None:
-        lo = _default_left_edge(tm, mix, log_h)
+        lo = _default_left_edge(tm, log_h)
         hi = 0.0
     else:
         lo, hi = float(domain[0]), float(domain[1])
@@ -208,7 +210,7 @@ def solve_foc(tm: TransformedModel, mix: MixingDistribution) -> tuple[float, flo
 
     stationarity = lambda t: _stationarity(tm, mix, t)
     log_h = lambda t: log_h_function(tm, mix, t)
-    lo = _default_left_edge(tm, mix, log_h)
+    lo = _default_left_edge(tm, log_h)
     grid = np.linspace(lo, -1e-14, 512)
     vals = np.array([stationarity(t) for t in grid])
     roots = []

@@ -17,7 +17,7 @@ y.gamma0 = phi |gamma0| rho, y.mu0 = psi |mu0| rho, |y| = rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _SPAN_TOL = 1e-12
+_GRAM_TOL = 1e-9  # on rho^2 - |span part|^2, relative to max(1, rho^2)
+_COS_TOL = 1e-9  # on psi when gamma0 is parallel to mu0
+_EXP_MARGIN = 0.98  # share of the Laplace bound s0 the exp-feasible ball keeps
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +167,9 @@ class UtilitySpec:
         return spec
 
     @staticmethod
-    def custom(value, derivative, max_order=None, validate=True) -> "UtilitySpec":
+    def custom(value, derivative, max_order=None) -> "UtilitySpec":
         spec = UtilitySpec(value, derivative, max_order, "custom")
-        if validate:
-            _validate_derivatives(spec)
+        _validate_derivatives(spec)
         return spec
 
 
@@ -211,25 +213,18 @@ class ReducedPoint:
         if self.rho < 0.0:
             raise ValueError(f"rho={self.rho} must be >= 0")
 
-    def gram_feasible(self, tm: TransformedModel, tol: float = 1e-9) -> bool:
-        """Positive semidefiniteness of the Gram matrix of the unit vectors
-        (gamma0-hat, mu0-hat, y-hat); rows for vanishing vectors drop out."""
-        r = tm.gamma_mu_cos
-        have_g = tm.a_scalar > _SPAN_TOL
-        have_m = tm.c_scalar > _SPAN_TOL
-        if have_g and have_m:
-            det = 1.0 + 2.0 * r * self.phi * self.psi - r * r - self.phi**2 - self.psi**2
-            return det >= -tol
-        if have_m:
-            return abs(self.psi) <= 1.0 + tol
-        if have_g:
-            return abs(self.phi) <= 1.0 + tol
-        return True
+    def gram_feasible(self, tm: TransformedModel, tol: float = _GRAM_TOL) -> bool:
+        """Whether some y has these cosines and norm: the span part that
+        ``_SpanBasis.lift`` finds is no longer than rho.  Dimension-free,
+        so a missing complement direction is not held against the point;
+        ``reconstruct_portfolio`` applies the same rule."""
+        _, deficit = _SpanBasis(tm).lift(self.phi, self.psi, self.rho)
+        return deficit >= -tol * max(1.0, self.rho**2)
 
 
 @dataclass(frozen=True)
 class ReducedDomain:
-    """Box constraints on (phi, psi, rho); intersected with Gram feasibility.
+    """The search box on (phi, psi, rho); intersected with Gram feasibility.
 
     ``ball``, if given, is ``(centre, radius)`` of an open ball in span
     coordinates, centred at ``centre`` times the unit gamma0 direction:
@@ -260,28 +255,25 @@ def exp_feasible_domain(
     mix: MixingDistribution,
     a: float = 1.0,
     w0: float = 1.0,
-    rho: tuple = (0.0, 5.0),
-    margin: float = 0.98,
-    *,
-    phi: tuple = (-1.0, 1.0),
-    psi: tuple = (-1.0, 1.0),
+    box: ReducedDomain = ReducedDomain(),
 ) -> ReducedDomain:
-    """Reduced domain cut to the interior of the finite-utility set.
+    """``box`` cut to the interior of the finite-utility set.
 
     In reduced coordinates the exponential-utility Laplace argument is
     g = a W0 |gamma0| phi rho - (a W0 rho)^2 / 2.  Keeping g > margin * s0
     (so the truncated objective is never chased into the region where the
     exact expected utility is -infinity) is, in span coordinates c with
     c_0 = phi rho along gamma0 and |c| = rho, the open ball of centre
-    |gamma0| / (a W0) and radius sqrt(|gamma0|^2 - 2 margin s0) / (a W0).
+    |gamma0| / (a W0) and radius sqrt(|gamma0|^2 - 2 margin s0) / (a W0),
+    with margin = _EXP_MARGIN.
     """
     s0 = mix.s_lower_bound
     if not math.isfinite(s0):
-        return ReducedDomain(phi=phi, psi=psi, rho=rho)
+        return box
     g_norm = math.sqrt(tm.a_scalar)
     aw = a * w0
-    radius = math.sqrt(max(0.0, tm.a_scalar - 2.0 * margin * s0)) / aw
-    return ReducedDomain(phi=phi, psi=psi, rho=rho, ball=(g_norm / aw, radius))
+    radius = math.sqrt(max(0.0, tm.a_scalar - 2.0 * _EXP_MARGIN * s0)) / aw
+    return replace(box, ball=(g_norm / aw, radius))
 
 
 def normal_moment(m: int) -> float:
@@ -376,19 +368,14 @@ def dist_stats(
     mix: MixingDistribution,
     w0: float = 1.0,
 ) -> tuple[float, float, float]:
-    """(standard deviation, skewness, kurtosis) of W(y) in closed form."""
-    gp = math.sqrt(tm.a_scalar) * point.phi
-    ez = mix.mean
-    var_z = mix.variance
-    ez2 = mix.moment(2.0)
-    m3 = mix.mixed_central_moment(3, 0.0)
-    m4 = mix.mixed_central_moment(4, 0.0)
-    z_var_z = mix.mixed_central_moment(2, 1.0)  # E[Z (Z - EZ)^2]
-    base = gp * gp * var_z + ez
-    std = w0 * point.rho * math.sqrt(base)
-    skew = (gp**3 * m3 + 3.0 * gp * var_z) / base**1.5
-    kurt = (gp**4 * m4 + 6.0 * gp * gp * z_var_z + 3.0 * ez2) / base**2
-    return std, skew, kurt
+    """(standard deviation, skewness, kurtosis) of W(y) in closed form.
+
+    Skewness and kurtosis do not depend on rho, so the moments are taken
+    at rho = 1: at rho = 0 the result is std 0 with the limiting shape."""
+    table = MomentTable.build(mix, 4)
+    unit = ReducedPoint(point.phi, point.psi, 1.0)
+    m2, m3, m4 = (wealth_central_moment(k, unit, tm, mix, w0, table) for k in (2, 3, 4))
+    return point.rho * math.sqrt(m2), m3 / m2**1.5, m4 / m2**2
 
 
 def m_objective(
@@ -455,6 +442,8 @@ class _SpanBasis:
             if nrm > 1e-8:
                 vecs.append(u / nrm)
         self.span = vecs
+        # psi is slaved to phi when both vectors are there but span one line
+        self.parallel = self.g_norm > _SPAN_TOL and self.m_norm > _SPAN_TOL and len(vecs) == 1
         self.perp = None
         if n > len(vecs):
             for i in range(n):
@@ -500,36 +489,28 @@ class _SpanBasis:
         rest = float(np.linalg.norm(y - span_c @ self.axes[:k]))
         return np.append(span_c, rest)
 
-    def coords_of_target(self, phi: float, psi: float, rho: float) -> np.ndarray:
-        """Coordinates approximating a (phi, psi, rho) target; projects
-        Gram-infeasible targets onto the feasible set (used for seeding)."""
+    def lift(self, phi: float, psi: float, rho: float) -> tuple[np.ndarray, float]:
+        """Span coordinates c of the shortest y with y.gamma0-hat = phi rho
+        and y.mu0-hat = psi rho, and the signed deficit rho^2 - |c|^2 that
+        the complement direction has to make up.  No y exists when the
+        deficit is negative; it is -inf when gamma0 is parallel to mu0 and
+        psi is not the cosine phi then forces.  A cosine against a
+        vanishing vector is ignored."""
         span_c = self._span_coeffs(phi, psi, rho)
-        norm2 = float(span_c @ span_c)
-        deficit = rho * rho - norm2
-        if deficit < 0.0 or self.perp is None:
-            if norm2 > 0:
-                span_c = span_c * (rho / math.sqrt(norm2))
-            out = list(span_c)
-            if self.perp is not None:
-                out.append(0.0)
-            return np.array(out)
-        return np.array(list(span_c) + [math.sqrt(deficit)])
+        if self.parallel and abs(psi - self.tm.gamma_mu_cos * phi) > _COS_TOL:
+            return span_c, -math.inf
+        return span_c, rho * rho - float(span_c @ span_c)
 
     def _span_coeffs(self, phi: float, psi: float, rho: float) -> np.ndarray:
-        have_g = self.g_norm > _SPAN_TOL
-        have_m = self.m_norm > _SPAN_TOL
-        if have_g and len(self.span) == 2:
+        if self.g_norm > _SPAN_TOL and len(self.span) == 2:
             r = self.tm.gamma_mu_cos
             t = math.sqrt(max(0.0, 1.0 - r * r))
             c1 = phi * rho
             c2 = (psi - phi * r) * rho / t if t > 1e-12 else 0.0
             return np.array([c1, c2])
-        if have_g and have_m and len(self.span) == 1:
-            # parallel vectors: psi is slaved to phi through the sign of r
+        if self.g_norm > _SPAN_TOL:  # gamma0 alone, or mu0 parallel to it
             return np.array([phi * rho])
-        if have_g:
-            return np.array([phi * rho])
-        if have_m:
+        if self.m_norm > _SPAN_TOL:
             return np.array([psi * rho])
         return np.zeros(0)
 
@@ -610,9 +591,11 @@ def optimize_3d(
 
     Deterministic multi-start.  The mixing moments are tabled once.  A
     lattice over the (phi, psi, rho) box is mapped into span coordinates
-    (making every candidate Gram-feasible, including rank-deficient markets
-    where the feasible set is the Gram boundary); candidates outside the
-    rho ball or the domain's ball are dropped.  The best four finite seeds
+    by ``_SpanBasis.lift``; a point no portfolio has is projected onto the
+    realizable set (the span part scaled to rho), so every candidate is
+    Gram-feasible, including rank-deficient markets where the feasible set
+    is the Gram boundary.  Candidates outside the rho ball or the domain's
+    ball are dropped.  The best four finite seeds
     are refined with Nelder-Mead in the unconstrained variable of
     ``_BallMap``, so no probe leaves those balls, and ties go to the
     lexicographically smallest seed.  A non-finite objective value counts
@@ -634,7 +617,15 @@ def optimize_3d(
     for phi in np.linspace(*domain.phi, _LATTICE[0]):
         for psi in np.linspace(*domain.psi, _LATTICE[1]):
             for rho in np.linspace(*domain.rho, _LATTICE[2]):
-                seeds.append(basis.coords_of_target(phi, psi, rho))
+                span_c, deficit = basis.lift(phi, psi, rho)
+                if deficit < 0.0 or basis.perp is None:  # project: span part scaled to rho
+                    norm2 = float(span_c @ span_c)
+                    if norm2 > 0:
+                        span_c = span_c * (rho / math.sqrt(norm2))
+                    deficit = 0.0
+                if basis.perp is not None:
+                    span_c = np.append(span_c, math.sqrt(deficit))
+                seeds.append(span_c)
     uniq = {}
     for c in seeds:
         key = tuple(np.round(c, 12))
@@ -689,19 +680,16 @@ def reconstruct_portfolio(
     direction to reach |y| = rho, then maps back via x = A^-T y.
     """
     basis = _SpanBasis(tm)
-    span_c = basis._span_coeffs(point.phi, point.psi, point.rho)
-    norm2 = float(span_c @ span_c)
-    rho2 = point.rho**2
-    deficit = rho2 - norm2
-    tol = 1e-9 * max(1.0, rho2)
+    span_c, deficit = basis.lift(point.phi, point.psi, point.rho)
+    tol = _GRAM_TOL * max(1.0, point.rho**2)
     if deficit < -tol:
         raise InfeasiblePointError(
-            f"span projection norm {math.sqrt(norm2):.6g} exceeds rho={point.rho:.6g}: "
-            "(phi, psi) violate Gram feasibility"
+            f"no portfolio has (phi, psi, rho) = ({point.phi:.6g}, {point.psi:.6g}, "
+            f"{point.rho:.6g}): the cosines violate Gram feasibility"
         )
     if deficit > tol and basis.perp is None:
         raise InfeasiblePointError(
-            f"point needs an out-of-span component of norm {math.sqrt(max(deficit, 0)):.6g} "
+            f"point needs an out-of-span component of norm {math.sqrt(deficit):.6g} "
             "but the market has no orthogonal directions left (rank-deficient case)"
         )
     coords = list(span_c) + ([math.sqrt(max(deficit, 0.0))] if basis.perp is not None else [])

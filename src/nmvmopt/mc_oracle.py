@@ -55,8 +55,9 @@ class McEstimate:
 def block_mean(values: np.ndarray, block: int = 65536) -> float:
     """Mean via fixed-size index blocks reduced in index order.
 
-    The block partition depends only on the array length, so the result is
-    independent of how the work would be scheduled across threads.
+    The block partition depends only on the array length and the block
+    sums are added with one rounding (``math.fsum``), so the result is a
+    fixed function of the array, the same on every call.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     partials = [

@@ -154,9 +154,9 @@ class MixingDistribution:
         return float(np.exp(self._log_laplace(s)))
 
     def laplace_deriv(self, s: float) -> float:
-        """d/ds E[exp(-s Z)] = -E[Z exp(-s Z)] (analytic per family)."""
+        """d/ds E[exp(-s Z)] = -E[Z exp(-s Z)], as (log L)'(s) L(s)."""
         self._check_domain(s)
-        return self._laplace_deriv(s)
+        return self._laplace_log_deriv(s) * math.exp(self._log_laplace(s))
 
     def laplace_log_deriv(self, s: float) -> float:
         """d/ds log E[exp(-s Z)] (stable even where laplace overflows)."""
@@ -165,9 +165,6 @@ class MixingDistribution:
 
     def _log_laplace(self, s: float) -> float:
         raise NotImplementedError
-
-    def _laplace_deriv(self, s: float) -> float:
-        return self._laplace_log_deriv(s) * math.exp(self._log_laplace(s))
 
     def _laplace_log_deriv(self, s: float) -> float:
         raise NotImplementedError
@@ -242,9 +239,6 @@ class Constant(MixingDistribution):
     def _log_laplace(self, s):
         return -s * self.value
 
-    def _laplace_deriv(self, s):
-        return -self.value * math.exp(-s * self.value)
-
     def _laplace_log_deriv(self, s):
         return -self.value
 
@@ -277,9 +271,6 @@ class Exponential(MixingDistribution):
 
     def _log_laplace(self, s):
         return -math.log1p(s / self.rate)
-
-    def _laplace_deriv(self, s):
-        return -self.rate / (self.rate + s) ** 2
 
     def _laplace_log_deriv(self, s):
         return -1.0 / (self.rate + s)

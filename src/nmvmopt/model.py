@@ -107,8 +107,8 @@ class TransformedModel:
     def from_scalars(
         cls, a_scalar: float, c_scalar: float, b_scalar: float, s0: float
     ) -> "TransformedModel":
-        """Synthetic 2-d instance realizing the given scalars (for scalar
-        problems such as large-market segments reduced ahead of time)."""
+        """Synthetic 2-d instance realizing the given scalars, for problems
+        posed through (A, B, C) and s0 alone rather than a market."""
         if a_scalar < 0 or c_scalar < 0:
             raise ValueError("a_scalar and c_scalar must be nonnegative")
         mu0 = np.array([math.sqrt(c_scalar), 0.0])

@@ -73,29 +73,55 @@ def _central_quad(weight, lo, hi, mean, sd, i, p):
 
 
 def gig_quad_central(lam, chi, psi, i, p):
-    """E[(Z - EZ)^i Z^p] for GIG(lam, chi, psi) by quadrature in z, with
-    the exponent shifted by its value at the mode so concentrated laws
-    (large chi*psi) do not underflow."""
-    mode = (math.sqrt((lam - 1) ** 2 + chi * psi) + (lam - 1)) / psi
+    """E[(Z - EZ)^i Z^p] for GIG(lam, chi, psi) by quadrature in the
+    offset t = z - m from the mode m.
 
-    def log_w(z):
-        return (lam - 1.0) * math.log(z) - 0.5 * chi / z - 0.5 * psi * z
+    The log density is taken relative to its value at m, in a form
+    without cancellation near m, so concentrated laws (large chi*psi)
+    neither underflow nor lose digits.  With s = 1/sqrt(-(log
+    density)''(m)), the range is cut at t = +-8 s 2^j, out to -m on the
+    left and on each side to where the density falls below e^-700 of its
+    peak: the pieces stay short next to the peak and grow geometrically
+    in a heavy tail."""
+    root = math.sqrt((lam - 1) ** 2 + chi * psi)
+    # the root of psi m^2 - 2 (lam - 1) m - chi = 0, without cancellation
+    mode = (root + (lam - 1)) / psi if lam >= 1 else chi / (root - (lam - 1))
+    s = mode / math.sqrt(root)  # (log density)''(m) = -root / m^2
 
-    top = log_w(mode)
-
-    def weight(z):
-        return math.exp(log_w(z) - top) if z > 0 else 0.0
-
-    def plain(f):
-        return sum(
-            quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
-            for a, b in ((0.0, mode), (mode, math.inf))
+    def log_w(t):
+        # chi = psi m^2 - 2 (lam - 1) m makes log w(m + t) - log w(m) this
+        return (lam - 1.0) * (math.log1p(t / mode) - t / (mode + t)) - 0.5 * psi * t * t / (
+            mode + t
         )
 
-    norm = plain(weight)
-    mean = plain(lambda z: z * weight(z)) / norm
-    sd = math.sqrt(plain(lambda z: (z - mean) ** 2 * weight(z)) / norm)
-    return _central_quad(weight, 0.0, math.inf, mean, sd, i, p)
+    def weight(t):
+        return math.exp(log_w(t)) if t > -mode else 0.0
+
+    cuts = {0.0}
+    for side in (-1.0, 1.0):
+        k = 8.0
+        while True:
+            t = side * k * s
+            if t <= -mode:
+                cuts.add(-mode)
+                break
+            cuts.add(t)
+            if log_w(t) < -700.0:
+                break
+            k *= 2.0
+
+    def plain(f, cuts):
+        cuts = sorted(cuts)
+        return sum(
+            quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+            for a, b in zip(cuts, cuts[1:])
+        )
+
+    norm = plain(weight, cuts)
+    shift = plain(lambda t: t * weight(t), cuts) / norm  # EZ - m
+    return plain(
+        lambda t: (t - shift) ** i * (mode + t) ** p * weight(t), cuts | {shift}
+    ) / norm
 
 
 def exponential_quad_central(rate, i, p):

@@ -26,6 +26,7 @@ from nmvmopt.model import Portfolio, TransformedModel, expected_exp_utility, tra
 from nmvmopt import general_opt, large_market, mc_oracle
 from nmvmopt.exp_opt import log_g_min, log_h_function, minimize_h, optimize, solve_foc
 from nmvmopt.general_opt import (
+    ReducedDomain,
     ReducedPoint,
     UtilitySpec,
     dist_stats,
@@ -242,7 +243,7 @@ def test_criterion_07_exponential_cross_check():
         res = optimize(m, e, a=1.0, w0=1.0)
         tm = res.transformed
         rho_star = reduce_portfolio(res.x_star, tm, m).rho
-        dom = exp_feasible_domain(tm, e, 1.0, 1.0, rho=(0.0, 1.5 * rho_star))
+        dom = exp_feasible_domain(tm, e, 1.0, 1.0, ReducedDomain(rho=(0.0, 1.5 * rho_star)))
         gaps = {}
         for order in (4, 6):
             point = optimize_3d(tm, e, u, order=order, w0=1.0, r_f=m.r_f, domain=dom)

@@ -213,7 +213,8 @@ def test_general_opt_exponential_truncation_gap(tmp_path):
 
 def test_general_opt_exact_utility_beyond_float_range(tmp_path):
     # GIG(200, 1, 1): the order-4 optimum's exact E[-exp(-aW)] is below
-    # -max float, so the truncation gap is written as "inf" and the run succeeds
+    # -max float, so the truncation gap is written as "inf", the run
+    # succeeds and stderr says the expansion is off
     raw = json.loads((SPECS / "gig.json").read_text())
     raw["mixing"]["lambda"] = 200.0
     out = tmp_path / "out.json"
@@ -223,10 +224,25 @@ def test_general_opt_exact_utility_beyond_float_range(tmp_path):
         capture_output=True, text=True, cwd=str(REPO),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    assert proc.stderr.startswith("note: truncation gap inf exceeds |m_value|")
+    assert proc.stderr.count("\n") == 1
     payload = json.loads(out.read_text())
     assert payload["truncation_gap"] == "inf"
     assert math.isfinite(payload["m_value"])
+
+
+def test_general_opt_notes_a_gap_larger_than_the_value(tmp_path, capsys):
+    # GIG(150, 1, 1): the gap is finite (about 1.7e254) but dwarfs |m_value|
+    raw = json.loads((SPECS / "gig.json").read_text())
+    raw["mixing"]["lambda"] = 150.0
+    out = tmp_path / "out.json"
+    code = main(["general-opt", "--spec", write_spec(tmp_path, raw), "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert 1e250 < payload["truncation_gap"] < math.inf
+    err = capsys.readouterr().err
+    assert err.startswith("note: truncation gap 1.66e+254 exceeds |m_value|")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec", ["gaussian", "gig", "exp1"])

@@ -315,6 +315,35 @@ def test_constrained_nonneg_q_uses_left_endpoint(rng):
     assert res.q_min >= 0.0
 
 
+@pytest.mark.parametrize(
+    "spec,calls", [("exp1", 42), ("gig", 47), ("gaussian", 41)]
+)
+def test_optimize_evaluates_log_h_once_per_point(monkeypatch, spec, calls):
+    # every log H evaluation is one the solver reports, except the two of
+    # the left-edge search when theta0 is infinite (gaussian.json)
+    import json
+    import pathlib
+
+    from nmvmopt import exp_opt
+    from nmvmopt.cli import parse_investor, parse_mixing, parse_model
+
+    raw = json.loads(
+        (pathlib.Path(__file__).resolve().parents[1] / "specs" / f"{spec}.json").read_text()
+    )
+    count = 0
+
+    def counted(tm, mix, theta):
+        nonlocal count
+        count += 1
+        return log_h_function(tm, mix, theta)
+
+    monkeypatch.setattr(exp_opt, "log_h_function", counted)
+    a, w0 = parse_investor(raw["investor"])
+    res = optimize(parse_model(raw["model"]), parse_mixing(raw["mixing"]), a=a, w0=w0)
+    edge_calls = 0 if math.isfinite(res.transformed.theta0) else 2
+    assert count == res.solver_info.iterations + edge_calls == calls
+
+
 # ---------------------------------------------------------------------------
 # Lagrangian reduction identities
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ def test_exponential_cross_check_order4(rng):
     tm = res.transformed
     u = UtilitySpec.exponential(1.0)
     rho_star = reduce_portfolio(res.x_star, tm, m).rho
-    dom = exp_feasible_domain(tm, e, 1.0, 1.0, rho=(0.0, 1.5 * rho_star))
+    dom = exp_feasible_domain(tm, e, 1.0, 1.0, ReducedDomain(rho=(0.0, 1.5 * rho_star)))
     point = optimize_3d(tm, e, u, order=4, w0=1.0, r_f=m.r_f, domain=dom)
     x = reconstruct_portfolio(point, tm, m)
     u_exact = expected_exp_utility(m, e, Portfolio(x, 1.0, 1.0))
@@ -421,6 +421,40 @@ def test_reconstruct_infeasible_point_rejected(rng):
         reconstruct_portfolio(ReducedPoint(1.0, psi_bad, 1.0), tm, m)
 
 
+@pytest.mark.parametrize("case", ["generic", "parallel", "zero-gamma"])
+def test_reconstruct_raises_exactly_when_gram_infeasible(rng, case):
+    from nmvmopt.model import MarketModel
+
+    if case == "generic":
+        m = random_spd_market(rng, 4)
+    elif case == "parallel":  # gamma = mu / 2: a portfolio's psi is its phi
+        m = MarketModel(
+            n=3, r_f=0.0, mu=[0.1, 0.06, 0.04], gamma=[0.05, 0.03, 0.02], a_matrix=np.eye(3)
+        )
+    else:
+        m = MarketModel(
+            n=3, r_f=0.0, mu=[0.08, 0.05, 0.03], gamma=[0.0, 0.0, 0.0],
+            a_matrix=0.2 * np.eye(3) + 0.05,
+        )
+    tm = transform(m, Exponential(1.0))
+    feasible = 0
+    for k in range(400):
+        phi, psi = rng.uniform(-1.0, 1.0, 2)
+        if case == "parallel" and k % 2:  # on the line psi = +-phi
+            psi = math.copysign(phi, tm.gamma_mu_cos)
+        if case == "zero-gamma":  # a cosine against the zero vector reads 0
+            phi = 0.0
+        p = ReducedPoint(float(phi), float(psi), float(rng.uniform(0.05, 2.0)))
+        if not p.gram_feasible(tm):
+            with pytest.raises(InfeasiblePointError):
+                reconstruct_portfolio(p, tm, m)
+            continue
+        feasible += 1
+        p2 = reduce_portfolio(reconstruct_portfolio(p, tm, m), tm, m)
+        assert (p2.phi, p2.psi, p2.rho) == pytest.approx((p.phi, p.psi, p.rho), abs=1e-9)
+    assert 100 < feasible < 400 or (case == "zero-gamma" and feasible == 400)
+
+
 def test_roundtrip_reduce_reconstruct(rng):
     m = random_spd_market(rng, 4)
     e = Exponential(1.0)
@@ -472,7 +506,7 @@ def _shipped(name):
 
 def test_exp_feasible_ball_matches_laplace_argument(rng):
     m, mix, tm, a, w0 = _shipped("gig")
-    dom = exp_feasible_domain(tm, mix, a, w0, rho=(0.0, 5.0))
+    dom = exp_feasible_domain(tm, mix, a, w0)
     g_norm, aw = math.sqrt(tm.a_scalar), a * w0
     for _ in range(2000):
         p = ReducedPoint(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.0, 1.5))
@@ -484,7 +518,7 @@ def test_exp_feasible_ball_matches_laplace_argument(rng):
 @pytest.mark.parametrize("order", [4, 6])
 def test_optimize_3d_never_probes_outside_exp_ball(monkeypatch, order):
     m, mix, tm, a, w0 = _shipped("gig")
-    dom = exp_feasible_domain(tm, mix, a, w0, rho=(0.0, 5.0))
+    dom = exp_feasible_domain(tm, mix, a, w0)
     seen = []
     real = ReducedDomain.contains
     monkeypatch.setattr(
@@ -521,7 +555,7 @@ def test_optimize_3d_not_improved_by_random_feasible_probes(rng, spec, kind):
     m, mix, tm, a, w0 = _shipped(spec)
     if kind == "exponential":
         u = UtilitySpec.exponential(a)
-        dom = exp_feasible_domain(tm, mix, a, w0, rho=(0.0, 5.0))
+        dom = exp_feasible_domain(tm, mix, a, w0)
     else:
         u = UtilitySpec.log() if kind == "log" else UtilitySpec.power(2.0)
         dom = ReducedDomain()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,21 @@ def test_variance_is_centered_and_matches_quadrature(mix):
 @pytest.mark.parametrize("low,high", [(0.99, 1.01), (0.5, 1.5), (5.0, 5.2), (1e-3, 2e-3)])
 def test_bounded_uniform_variance_closed_form(low, high):
     assert BoundedUniform(low, high).variance == pytest.approx((high - low) ** 2 / 12.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "i,exact", [(2, 1.00000002e-8), (3, 3.00000008e-16), (4, 3.000000270000006e-16)]
+)
+def test_gig_central_moments_of_a_concentrated_law(i, exact):
+    # E[Z^k] of GIG(1/2, w, w) is a polynomial in 1/w, so its central
+    # moments are known: 1/w + 2/w^2, 3/w^2 + 8/w^3, 3/w^2 + 27/w^3 + ...
+    # At w = 1e8 the peak is 1e-4 wide; the oracle must integrate it
+    # without an IntegrationWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = gig_quad_central(0.5, 1e8, 1e8, i, 0.0)
+    assert ref == pytest.approx(exact, rel=1e-10)
+    assert GIG(0.5, 1e8, 1e8).mixed_central_moment(i, 0.0) == pytest.approx(ref, rel=1e-8)
 
 
 @pytest.mark.parametrize("lam", [150.0, -150.0, 200.0, -200.0])

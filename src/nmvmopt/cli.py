@@ -119,51 +119,53 @@ def _require_keys(block: dict, allowed: dict, where: str) -> None:
             raise SpecFileError(f"missing key '{key}' in {where}")
 
 
-def _number(block: dict, key: str, where: str) -> float:
-    v = block[key]
+def _number(v, where: str) -> float:
+    """A JSON number, not a bool, as a float; ``where`` names the field."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise SpecFileError(f"'{key}' in {where} must be a number, got {v!r}")
+        raise SpecFileError(f"{where} must be a number, got {v!r}")
     return float(v)
 
 
-def _vector(block: dict, key: str, n: int, where: str) -> np.ndarray:
-    v = block[key]
+def _integer(v, where: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SpecFileError(f"{where} must be an integer, got {v!r}")
+    return v
+
+
+def _vector(v, n: int, where: str) -> np.ndarray:
     if not isinstance(v, list) or len(v) != n:
-        raise SpecFileError(f"'{key}' in {where} must be a list of length n={n}")
-    return np.array([_number({"x": e}, "x", f"{where}.{key}") for e in v])
+        raise SpecFileError(f"{where} must be a list of {n} numbers")
+    if not set(map(type, v)) <= {int, float}:  # a bool's type is neither
+        for i, e in enumerate(v):
+            _number(e, f"{where}[{i}]")
+    return np.array(v, dtype=float)
+
+
+# mixing kind -> (law, its parameters in constructor order)
+_MIXING_KINDS = {
+    "constant": (Constant, ("value",)),
+    "exponential": (Exponential, ("rate",)),
+    "gig": (GIG, ("lambda", "chi", "psi")),
+    "bounded_uniform": (BoundedUniform, ("low", "high")),
+}
 
 
 def parse_mixing(block: dict, where: str = "mixing"):
     if not isinstance(block, dict) or "kind" not in block:
         raise SpecFileError(f"{where} block must be an object with a 'kind'")
     kind = block["kind"]
+    if not isinstance(kind, str) or kind not in _MIXING_KINDS:
+        raise SpecFileError(
+            f"unknown mixing kind '{kind}' in {where} "
+            "(expected constant, exponential, gig or bounded_uniform)"
+        )
+    law, keys = _MIXING_KINDS[kind]
+    _require_keys(block, dict.fromkeys(("kind",) + keys, True), where)
+    params = [_number(block[key], f"{where}.{key}") for key in keys]
     try:
-        if kind == "constant":
-            _require_keys(block, {"kind": True, "value": True}, where)
-            return Constant(_number(block, "value", where))
-        if kind == "exponential":
-            _require_keys(block, {"kind": True, "rate": True}, where)
-            return Exponential(_number(block, "rate", where))
-        if kind == "gig":
-            _require_keys(
-                block, {"kind": True, "lambda": True, "chi": True, "psi": True}, where
-            )
-            return GIG(
-                _number(block, "lambda", where),
-                _number(block, "chi", where),
-                _number(block, "psi", where),
-            )
-        if kind == "bounded_uniform":
-            _require_keys(block, {"kind": True, "low": True, "high": True}, where)
-            return BoundedUniform(
-                _number(block, "low", where), _number(block, "high", where)
-            )
+        return law(*params)
     except ValueError as exc:
         raise SpecFileError(f"invalid {where} parameters: {exc}") from exc
-    raise SpecFileError(
-        f"unknown mixing kind '{kind}' in {where} "
-        "(expected constant, exponential, gig or bounded_uniform)"
-    )
 
 
 def parse_model(block: dict) -> MarketModel:
@@ -172,35 +174,28 @@ def parse_model(block: dict) -> MarketModel:
         {"n": True, "r_f": True, "mu": True, "gamma": True, "a_matrix": True},
         "model",
     )
-    n = block["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise SpecFileError(f"'n' in model must be a positive integer, got {n!r}")
+    n = _integer(block["n"], "model.n")
+    if n < 1:
+        raise SpecFileError(f"model.n must be positive, got {n}")
     a = block["a_matrix"]
-    if (
-        not isinstance(a, list)
-        or len(a) != n
-        or any(not isinstance(row, list) or len(row) != n for row in a)
-    ):
-        raise SpecFileError(f"'a_matrix' in model must be an {n}x{n} array of rows")
+    if not isinstance(a, list) or len(a) != n:
+        raise SpecFileError(f"model.a_matrix must be an {n}x{n} array of rows")
     return MarketModel(
         n=n,
-        r_f=_number(block, "r_f", "model"),
-        mu=_vector(block, "mu", n, "model"),
-        gamma=_vector(block, "gamma", n, "model"),
-        a_matrix=np.array([[float(v) for v in row] for row in a]),
+        r_f=_number(block["r_f"], "model.r_f"),
+        mu=_vector(block["mu"], n, "model.mu"),
+        gamma=_vector(block["gamma"], n, "model.gamma"),
+        a_matrix=np.array([_vector(row, n, f"model.a_matrix[{i}]") for i, row in enumerate(a)]),
     )
 
 
 def parse_investor(block: dict) -> tuple[float, float]:
     _require_keys(block, {"a": True, "w0": True}, "investor")
-    return _number(block, "a", "investor"), _number(block, "w0", "investor")
+    return _number(block["a"], "investor.a"), _number(block["w0"], "investor.w0")
 
 
 def _interval(block: dict, key: str, where: str) -> tuple[float, float]:
-    v = block[key]
-    if not isinstance(v, list) or len(v) != 2:
-        raise SpecFileError(f"'{key}' in {where} must be [low, high]")
-    lo, hi = float(v[0]), float(v[1])
+    lo, hi = _vector(block[key], 2, f"{where}.{key}").tolist()
     if lo > hi:
         raise SpecFileError(f"'{key}' in {where} has low > high")
     return lo, hi
@@ -212,18 +207,18 @@ def parse_sequence(block: dict, where: str):
     kind = block["kind"]
     if kind == "power":
         _require_keys(block, {"kind": True, "kappa": True, "p": True}, where)
-        kappa, p = _number(block, "kappa", where), _number(block, "p", where)
+        kappa, p = _number(block["kappa"], f"{where}.kappa"), _number(block["p"], f"{where}.p")
         return lambda i: kappa / i**p
     if kind == "constant":
         _require_keys(block, {"kind": True, "value": True}, where)
-        value = _number(block, "value", where)
+        value = _number(block["value"], f"{where}.value")
         return lambda i: value
     if kind == "array":
         _require_keys(block, {"kind": True, "values": True}, where)
         values = block["values"]
         if not isinstance(values, list):
             raise SpecFileError(f"'values' in {where} must be a list")
-        return [float(v) for v in values]
+        return _vector(values, len(values), f"{where}.values")
     raise SpecFileError(
         f"unknown sequence kind '{kind}' in {where} (expected power, constant or array)"
     )
@@ -245,16 +240,15 @@ def parse_large_market(block: dict) -> tuple[large_market.LargeMarketSpec, list,
         "large_market",
     )
     n_list = block["n_list"]
-    if not isinstance(n_list, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in n_list
-    ):
+    if not isinstance(n_list, list):
         raise SpecFileError("'n_list' in large_market must be a list of integers")
+    n_list = [_integer(v, f"large_market.n_list[{i}]") for i, v in enumerate(n_list)]
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise SpecFileError("'n_list' in large_market must be strictly increasing")
-    max_n = block["max_n"]
-    if not isinstance(max_n, int) or max_n < max(n_list):
+    max_n = _integer(block["max_n"], "large_market.max_n")
+    if max_n < max(n_list):
         raise SpecFileError("'max_n' in large_market must be an int >= max(n_list)")
-    tol = float(block.get("tolerance", 1e-4))
+    tol = _number(block["tolerance"], "large_market.tolerance") if "tolerance" in block else 1e-4
     try:
         spec = large_market.LargeMarketSpec(
             gamma_seq=parse_sequence(block["gamma"], "large_market.gamma"),
@@ -310,11 +304,17 @@ def _domain(raw: dict, *keys: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_exp_opt(spec_path: str, out_path: str) -> int:
+def _load_market(spec_path: str):
+    """(raw spec, model, mixing law, a, w0) of a single-market spec file."""
     raw = load_spec(spec_path)
     model = parse_model(_need(raw, "model"))
     mix = parse_mixing(_need(raw, "mixing"))
     a, w0 = parse_investor(_need(raw, "investor"))
+    return raw, model, mix, a, w0
+
+
+def run_exp_opt(spec_path: str, out_path: str) -> int:
+    raw, model, mix, a, w0 = _load_market(spec_path)
     domain = _domain(raw, "c_interval").get("c_interval")
     res = exp_opt.optimize(model, mix, a=a, w0=w0, domain=domain)
     tm = res.transformed
@@ -368,10 +368,7 @@ def _parse_utility(text: str, a_exp: float) -> tuple[general_opt.UtilitySpec, fl
 def run_general_opt(spec_path: str, out_path: str, order: int, utility_text: str) -> int:
     from . import general_opt
 
-    raw = load_spec(spec_path)
-    model = parse_model(_need(raw, "model"))
-    mix = parse_mixing(_need(raw, "mixing"))
-    a, w0 = parse_investor(_need(raw, "investor"))
+    raw, model, mix, a, w0 = _load_market(spec_path)
     utility, a_util = _parse_utility(utility_text, a)
     tm = transform(model, mix)
     domain = general_opt.ReducedDomain(**_domain(raw, "phi", "psi", "rho"))
@@ -437,10 +434,9 @@ def run_large_market(spec_path: str, out_path: str, tolerance: float | None) -> 
 
 
 def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
-    raw = load_spec(spec_path)
-    model = parse_model(_need(raw, "model"))
-    mix = parse_mixing(_need(raw, "mixing"))
-    a, w0 = parse_investor(_need(raw, "investor"))
+    if paths < 3:  # one antithetic pair leaves no spread for the covariance SE
+        raise ValueError(f"--paths must be at least 3, got {paths}")
+    _, model, mix, a, w0 = _load_market(spec_path)
     cfg = mc_oracle.McConfig(seed=seed, paths=paths, antithetic=True)
     report = []
     ok = True

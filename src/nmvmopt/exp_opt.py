@@ -108,9 +108,11 @@ def _default_left_edge(tm, log_h) -> float:
 def _minimize_on_interval(log_h, stationarity, lo: float, hi: float):
     """Grid-seeded bounded minimization; returns (theta, log H there, evals).
 
-    A value-only search cannot place a smooth minimum better than about
-    sqrt(eps), so interior minima get a final polish by root-finding the
-    sign of H' inside the winning bracket.
+    log L_Z is convex and decreasing and A/2 - theta^2 C/2 is concave, so
+    log H is strictly convex and only the bracket around the grid argmin
+    is refined.  A value-only search places a smooth minimum to about
+    sqrt(eps), so an interior minimum is polished by root-finding the
+    sign of H' in that bracket.
     """
     evals = 0
 
@@ -121,29 +123,19 @@ def _minimize_on_interval(log_h, stationarity, lo: float, hi: float):
 
     grid = np.linspace(lo, hi, _GRID_POINTS)
     vals = np.array([f(t) for t in grid])
-    best_t, best_v = float(grid[np.argmin(vals)]), float(np.min(vals))
+    i = int(np.argmin(vals))
+    best_t, best_v = float(grid[i]), float(vals[i])
     best_bracket = (lo, hi)
-    # refine every local grid minimum (guards against multiple local minima)
-    for i in range(_GRID_POINTS):
-        left_ok = i == 0 or vals[i] <= vals[i - 1]
-        right_ok = i == _GRID_POINTS - 1 or vals[i] <= vals[i + 1]
-        if not (left_ok and right_ok):
-            continue
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, _GRID_POINTS - 1)]
-        if b - a <= _XATOL:
-            continue
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)]
+    if b - a > _XATOL:
         t, v, _ = minimize_bounded(f, a, b, xatol=_XATOL, maxiter=500)
         if v < best_v:
             best_t, best_v = t, v
             best_bracket = (float(a), float(b))
     if lo < best_t < hi:
         a, b = best_bracket
-        try:
-            if stationarity(a) < 0.0 < stationarity(b):
-                best_t = brentq(stationarity, a, b, xtol=1e-15)
-        except ValueError:  # pragma: no cover - multiple roots in bracket
-            pass
+        if stationarity(a) < 0.0 < stationarity(b):
+            best_t = brentq(stationarity, a, b, xtol=1e-15)
     # endpoints win ties at tolerance (leftmost deterministic choice); the
     # grid holds both, so their values are vals[0] and vals[-1]
     for t, v in ((lo, vals[0]), (hi, vals[-1])):
@@ -201,30 +193,22 @@ def solve_foc(tm: TransformedModel, mix: MixingDistribution) -> tuple[float, flo
 
         L(tau) + sqrt((a_scalar - 2 tau)/c_scalar) * L'(tau) = 0,
 
-    solved here on the theta grid (dividing through by L for stability).
-    Among multiple roots the one with smallest H wins.  Returns
-    (tau_star, theta_star).
+    solved here in theta (dividing through by L for stability).  log H is
+    strictly convex, so its stationarity function changes sign at most
+    once on the search interval; an interval whose ends share a sign means
+    the minimum sits on the boundary.  Returns (tau_star, theta_star).
     """
     if tm.c_scalar <= 0:
         raise DegenerateModelError("solve_foc requires c_scalar > 0")
 
-    stationarity = lambda t: _stationarity(tm, mix, t)
-    log_h = lambda t: log_h_function(tm, mix, t)
-    lo = _default_left_edge(tm, log_h)
-    grid = np.linspace(lo, -1e-14, 512)
-    vals = np.array([stationarity(t) for t in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(brentq(stationarity, grid[i], grid[i + 1], xtol=1e-14))
-    if not roots:
+    lo = _default_left_edge(tm, lambda t: log_h_function(tm, mix, t))
+    try:
+        theta_star = brentq(lambda t: _stationarity(tm, mix, t), lo, -1e-14, xtol=1e-14)
+    except ValueError as exc:
         raise NoRootError(
             "no stationarity root bracketed in "
             f"({lo}, 0); use minimize_h for the boundary case"
-        )
-    theta_star = min(roots, key=log_h)
+        ) from exc
     tau_star = 0.5 * tm.a_scalar - 0.5 * theta_star**2 * tm.c_scalar
     return tau_star, theta_star
 

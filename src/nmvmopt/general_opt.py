@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,8 +61,9 @@ class UtilitySpec:
 
     ``value(w)`` evaluates U, ``derivative(k, w)`` evaluates U^(k) for
     k >= 1.  ``max_order`` is the highest usable derivative order (None
-    means unlimited).  Derivatives are validated against finite
-    differences of the next-lower order at registration.
+    means unlimited).  Built-in utilities are exact formulas whose
+    ``value`` is the order-0 derivative; ``custom`` checks its derivatives
+    against finite differences of the next-lower order.
     """
 
     value: Callable
@@ -74,14 +76,11 @@ class UtilitySpec:
         """U(w) = -exp(-a w), a > 0."""
         if not a > 0:
             raise ValueError(f"exponential utility requires a > 0, got {a}")
-        spec = UtilitySpec(
-            value=lambda w: -np.exp(-a * w),
-            derivative=lambda k, w: -((-a) ** k) * np.exp(-a * w),
-            max_order=None,
-            kind="exponential",
-        )
-        _validate_derivatives(spec)
-        return spec
+
+        def derivative(k, w):
+            return -((-a) ** k) * np.exp(-a * w)
+
+        return UtilitySpec(partial(derivative, 0), derivative, None, "exponential")
 
     @staticmethod
     def power(eta: float) -> "UtilitySpec":
@@ -90,60 +89,26 @@ class UtilitySpec:
             raise ValueError(f"power utility requires eta > 0, eta != 1, got {eta}")
         e0 = 1.0 - eta
 
-        def value(w):
-            if isinstance(w, float) and w > 0:  # scalar fast path of the search
-                try:
-                    return w**e0 / e0
-                except OverflowError:
-                    pass  # numpy below gives inf
-            w = np.asarray(w, dtype=float)
-            out = np.where(w > 0, np.power(np.where(w > 0, w, 1.0), e0) / e0, np.nan)
-            return float(out) if out.ndim == 0 else out
-
-        def derivative(k, w):
+        def formula(w, k):
             coeff = 1.0
             for j in range(k):
                 coeff *= e0 - j
-            if isinstance(w, float) and w > 0:
-                try:
-                    return coeff * w ** (e0 - k) / e0
-                except OverflowError:
-                    pass
-            w = np.asarray(w, dtype=float)
-            out = np.where(
-                w > 0, coeff * np.power(np.where(w > 0, w, 1.0), e0 - k) / e0, np.nan
-            )
-            return float(out) if out.ndim == 0 else out
+            return coeff * w ** (e0 - k) / e0
 
-        spec = UtilitySpec(value, derivative, None, "power")
-        _validate_derivatives(spec)
-        return spec
+        derivative = _on_positive_wealth(formula)
+        return UtilitySpec(partial(derivative, 0), derivative, None, "power")
 
     @staticmethod
     def log() -> "UtilitySpec":
         """U(w) = ln w on w > 0."""
 
-        def value(w):
-            if isinstance(w, float) and w > 0:  # scalar fast path of the search
-                return math.log(w)
-            w = np.asarray(w, dtype=float)
-            out = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), np.nan)
-            return float(out) if out.ndim == 0 else out
+        def formula(w, k):
+            if k == 0:
+                return math.log(w) if isinstance(w, float) else np.log(w)
+            return (-1.0) ** (k - 1) * math.factorial(k - 1) / w**k
 
-        def derivative(k, w):
-            coeff = (-1.0) ** (k - 1) * math.factorial(k - 1)
-            if isinstance(w, float) and w > 0:
-                try:
-                    return coeff / w**k
-                except (OverflowError, ZeroDivisionError):
-                    pass  # numpy below gives +-inf
-            w = np.asarray(w, dtype=float)
-            out = np.where(w > 0, coeff / np.power(np.where(w > 0, w, 1.0), k), np.nan)
-            return float(out) if out.ndim == 0 else out
-
-        spec = UtilitySpec(value, derivative, None, "log")
-        _validate_derivatives(spec)
-        return spec
+        derivative = _on_positive_wealth(formula)
+        return UtilitySpec(partial(derivative, 0), derivative, None, "log")
 
     @staticmethod
     def quadratic(b: float) -> "UtilitySpec":
@@ -153,24 +118,37 @@ class UtilitySpec:
             raise ValueError(f"quadratic utility requires b > 0, got {b}")
 
         def derivative(k, w):
-            w = np.asarray(w, dtype=float)
+            if k == 0:
+                return w - b * (w * w)
             if k == 1:
-                out = 1.0 - 2.0 * b * w
-            elif k == 2:
-                out = np.full_like(w, -2.0 * b)
-            else:
-                out = np.zeros_like(w)
-            return float(out) if out.ndim == 0 else out
+                return 1.0 - 2.0 * b * w
+            return -2.0 * b if k == 2 else 0.0
 
-        spec = UtilitySpec(lambda w: w - b * np.asarray(w, float) ** 2, derivative, None, "quadratic")
-        _validate_derivatives(spec)
-        return spec
+        return UtilitySpec(partial(derivative, 0), derivative, None, "quadratic")
 
     @staticmethod
     def custom(value, derivative, max_order=None) -> "UtilitySpec":
         spec = UtilitySpec(value, derivative, max_order, "custom")
         _validate_derivatives(spec)
         return spec
+
+
+def _on_positive_wealth(formula):
+    """(k, w) -> ``formula(w, k)`` for w > 0, NaN elsewhere.  A positive
+    Python float, the search's argument, goes to the formula as it is;
+    arrays, w <= 0 and float overflow go through numpy (inf, not an error)."""
+
+    def derivative(k, w):
+        if isinstance(w, float) and w > 0:
+            try:
+                return formula(w, k)
+            except (OverflowError, ZeroDivisionError):
+                pass
+        w = np.asarray(w, dtype=float)
+        out = np.where(w > 0, formula(np.where(w > 0, w, 1.0), k), np.nan)
+        return float(out) if out.ndim == 0 else out
+
+    return derivative
 
 
 _PROBE_GRID = (0.6, 1.1, 1.9, 2.7)

@@ -199,24 +199,25 @@ def segment_scalars(spec: LargeMarketSpec, n: int) -> TransformedModel:
     )
 
 
+def _segment_optimum(spec: LargeMarketSpec, n: int) -> tuple[TransformedModel, float | None]:
+    """The n-asset segment's scalars and H minimizer; None when it has no
+    excess drift to trade against, where the optimum is h = gamma'."""
+    tm = segment_scalars(spec, n)
+    return tm, (None if tm.c_scalar <= 1e-300 else minimize_h(tm, spec.mix))
+
+
 def u_n(spec: LargeMarketSpec, n: int) -> float:
     """Minimal E[exp(-V(h))] over portfolios in the first n assets."""
-    tm = segment_scalars(spec, n)
-    if tm.c_scalar <= 1e-300:
-        # no excess drift to trade against: optimum is h = gamma'
+    tm, q = _segment_optimum(spec, n)
+    if q is None:
         return math.exp(spec.mix.log_laplace(0.5 * tm.a_scalar))
-    q = minimize_h(tm, spec.mix)
     return math.exp(log_g_min(tm, spec.mix, q))
 
 
 def optimal_h(spec: LargeMarketSpec, n: int) -> np.ndarray:
     """Minimizing h for the n-asset segment (identity structure matrix)."""
-    tm = segment_scalars(spec, n)
-    mu_p, gamma_p = effective_nmvm_segment(spec, n)
-    if tm.c_scalar <= 1e-300:
-        return gamma_p
-    q = minimize_h(tm, spec.mix)
-    return gamma_p - q * mu_p
+    tm, q = _segment_optimum(spec, n)
+    return tm.gamma0 if q is None else tm.gamma0 - q * tm.mu0
 
 
 def martingale_density(spec: LargeMarketSpec, n: int, z, eps):

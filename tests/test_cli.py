@@ -102,6 +102,55 @@ def test_nlist_not_increasing_exit_1(tmp_path, capsys):
     assert "increasing" in capsys.readouterr().err
 
 
+def large_market_spec():
+    return {
+        "large_market": {
+            "gamma": {"kind": "power", "kappa": 0.5, "p": 1.1},
+            "mu": {"kind": "power", "kappa": 0.5, "p": 1.1},
+            "beta": {"kind": "power", "kappa": 0.3, "p": 1.0},
+            "beta_bar": {"kind": "constant", "value": 1.0},
+            "mixing": {"kind": "bounded_uniform", "low": 0.5, "high": 1.5},
+            "n_list": [4, 8],
+            "max_n": 16,
+        }
+    }
+
+
+@pytest.mark.parametrize(
+    "command,path,value,field",
+    [
+        ("exp-opt", ("model", "a_matrix", 0, 1), "x", "model.a_matrix[0][1]"),
+        ("exp-opt", ("model", "a_matrix", 1, 1), True, "model.a_matrix[1][1]"),
+        ("exp-opt", ("model", "mu", 1), True, "model.mu[1]"),
+        ("exp-opt", ("model", "n"), True, "model.n"),
+        ("exp-opt", ("mixing", "value"), True, "mixing.value"),
+        ("exp-opt", ("investor", "w0"), "1", "investor.w0"),
+        ("exp-opt", ("domain",), {"c_interval": [0.0, "x"]}, "domain.c_interval[1]"),
+        ("general-opt", ("domain",), {"rho": [True, 2.0]}, "domain.rho[0]"),
+        ("large-market", ("large_market", "max_n"), True, "large_market.max_n"),
+        ("large-market", ("large_market", "n_list", 0), True, "large_market.n_list[0]"),
+        ("large-market", ("large_market", "tolerance"), "1e-4", "large_market.tolerance"),
+        ("large-market", ("large_market", "mu", "kappa"), True, "large_market.mu.kappa"),
+        (
+            "large-market",
+            ("large_market", "gamma"),
+            {"kind": "array", "values": [0.5] * 15 + [True]},
+            "large_market.gamma.values[15]",
+        ),
+    ],
+)
+def test_non_number_in_spec_names_its_field(tmp_path, capsys, command, path, value, field):
+    spec = large_market_spec() if command == "large-market" else base_spec()
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code = main([command, "--spec", write_spec(tmp_path, spec), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert field in err and "could not convert" not in err
+
+
 # ---------------------------------------------------------------------------
 # exp-opt output
 # ---------------------------------------------------------------------------
@@ -338,6 +387,17 @@ def test_mc_verify_passes(tmp_path, capsys):
     assert text.count("PASS") >= 4
 
 
+@pytest.mark.parametrize("paths", ["1", "2"])
+def test_mc_verify_rejects_fewer_than_three_paths(tmp_path, capsys, paths):
+    # one antithetic pair leaves no spread for the covariance standard error
+    code = main([
+        "mc-verify", "--spec", str(SPECS / "exp1.json"), "--out", str(tmp_path / "r.txt"),
+        "--paths", paths,
+    ])
+    assert code == 1
+    assert "--paths must be at least 3" in capsys.readouterr().err
+
+
 def test_mc_verify_failure_exit_3(tmp_path, monkeypatch, capsys):
     from nmvmopt import cli as cli_mod
     from nmvmopt.mc_oracle import McEstimate
@@ -453,6 +513,18 @@ def _fresh_python(code: str) -> str:
         cwd=str(REPO), capture_output=True, text=True, check=True,
     )
     return done.stdout
+
+
+def test_truncation_orders_script_runs_without_warnings():
+    path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(REPO / "scripts" / "truncation_orders.py"), "--orders", "2", "4"],
+        env=dict(os.environ, PYTHONPATH=path), cwd=str(REPO), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    rows = [line.split()[0] for line in proc.stdout.splitlines()[3:]]
+    assert rows == ["2", "4"]
 
 
 _SCIPY_MODULES = "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize_scalar
 
 from conftest import gaussian_exp_utility, random_spd_market, sane_exp_market
-from nmvmopt.errors import DegenerateModelError
-from nmvmopt.mixing import GIG, Constant, Exponential
+from nmvmopt.errors import DegenerateModelError, InfeasiblePortfolioError, NoRootError
+from nmvmopt.mixing import GIG, BoundedUniform, Constant, Exponential
 from nmvmopt.model import (
     MarketModel,
     Portfolio,
@@ -17,7 +19,7 @@ from nmvmopt.model import (
     quadratic_exponent,
     transform,
 )
-from nmvmopt import mc_oracle
+from nmvmopt import exp_opt, mc_oracle
 from nmvmopt._brent import brentq, minimize_bounded
 from nmvmopt.exp_opt import (
     h_function,
@@ -158,6 +160,47 @@ def test_minimize_optimality_against_random_probes(rng):
         assert best <= log_g_min(tm, mix, probe) + 1e-12
 
 
+_FAMILIES = st.one_of(
+    st.builds(Constant, st.floats(0.2, 3.0)),
+    st.builds(Exponential, st.floats(0.2, 3.0)),
+    st.builds(GIG, st.floats(-3.0, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+    st.builds(lambda low, width: BoundedUniform(low, low + width), st.floats(0.1, 1.0), st.floats(0.1, 2.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mix=_FAMILIES,
+    a_s=st.floats(0.01, 4.0),
+    cos_gm=st.floats(-1.0, 1.0),
+    c_s=st.floats(0.01, 4.0),
+    c_interval=st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 2.0)),
+)
+def test_log_h_convex_on_the_search_grid(mix, a_s, cos_gm, c_s, c_interval):
+    # log L_Z is convex and decreasing and A/2 - theta^2 C/2 is concave, so
+    # on minimize_h's grid log H falls to one minimum and then rises, with
+    # nonnegative second differences up to rounding
+    b_s = cos_gm * math.sqrt(a_s * c_s)
+    tm = TransformedModel.from_scalars(a_s, c_s, b_s, mix.s_lower_bound)
+    domain = None
+    if c_interval is not None:  # optimize's map from c = x'(mu - r_f) to q at a W0 = 1
+        c_lo, width = c_interval
+        domain = ((b_s - (c_lo + width)) / c_s, (b_s - c_lo) / c_s)
+    try:
+        _, info = exp_opt._minimize_h_impl(tm, mix, domain)
+    except InfeasiblePortfolioError:
+        return
+    if info.method != "grid+bounded-brent":
+        return
+    grid = np.linspace(*info.bracket, exp_opt._GRID_POINTS)
+    vals = np.array([log_h_function(tm, mix, t) for t in grid])
+    tol = 64 * np.finfo(float).eps * (1.0 + np.max(np.abs(vals)))
+    steps = np.diff(vals)
+    i = int(np.argmin(vals))
+    assert np.all(steps[:i] <= tol) and np.all(steps[i:] >= -tol)
+    assert np.all(np.diff(steps) >= -2 * tol)
+
+
 # ---------------------------------------------------------------------------
 # first-order condition
 # ---------------------------------------------------------------------------
@@ -191,6 +234,15 @@ def test_foc_stationarity_residual(rng):
         h = 1e-6
         d = (h_function(tm, mix, theta + h) - h_function(tm, mix, theta - h)) / (2 * h)
         assert abs(d) < 1e-8 * h_function(tm, mix, theta) * c_s
+
+
+def test_foc_boundary_minimum_has_no_root():
+    # GIG(-3, 1, 1) has E[Z] = 1/4 at s0, so H still falls at the left edge
+    mix = GIG(-3.0, 1.0, 1.0)
+    tm = TransformedModel.from_scalars(1.0, 1.0, 0.0, mix.s_lower_bound)
+    assert exp_opt._minimize_h_impl(tm, mix)[1].boundary_pinned
+    with pytest.raises(NoRootError):
+        solve_foc(tm, mix)
 
 
 def test_foc_requires_positive_c():

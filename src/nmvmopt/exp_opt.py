@@ -114,6 +114,8 @@ def _minimize_on_interval(log_h, stationarity, lo: float, hi: float):
     sqrt(eps), so an interior minimum is polished by root-finding the
     sign of H' in that bracket.
     """
+    if lo == hi:  # a point domain: nothing to search
+        return lo, log_h(lo), 1
     evals = 0
 
     def f(t):

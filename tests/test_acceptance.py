@@ -94,8 +94,8 @@ def test_criterion_02_exp1_example():
     cfg = mc_oracle.McConfig(seed=204, paths=1_000_000, antithetic=True)
     span = 2.0 * float(np.max(np.abs(res.x_star))) + 0.5
     x_bf = mc_oracle.brute_force_optimize(
-        m, e, lambda w: -np.exp(-a * w), cfg, box=[(-span, span)] * 2, w0=w0
-    )
+        m, e, lambda k, w: -((-a) ** k) * np.exp(-a * w), cfg, box=[(-span, span)] * 2, w0=w0
+    ).x
     est = mc_oracle.mc_expected_utility(
         m, e, lambda w: -np.exp(-a * w), Portfolio(x_bf, w0, a), cfg
     )

@@ -182,6 +182,26 @@ def test_exp_opt_c_interval_domain(tmp_path):
     assert payload["q_min"] > -1.0
 
 
+def test_exp_opt_point_c_interval_evaluates_log_h_once(tmp_path, monkeypatch):
+    from nmvmopt import exp_opt
+    from nmvmopt.cli import parse_model
+
+    calls = []
+    log_h = exp_opt.log_h_function
+    monkeypatch.setattr(exp_opt, "log_h_function", lambda *a: calls.append(a[-1]) or log_h(*a))
+    spec = json.loads((SPECS / "exp1.json").read_text())
+    spec["domain"] = {"c_interval": [0.05, 0.05]}
+    out = tmp_path / "out.json"
+    assert main(["exp-opt", "--spec", write_spec(tmp_path, spec), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    info = payload["solver_info"]
+    assert calls == [payload["q_min"]]
+    assert info["iterations"] == 1
+    assert info["bracket"] == [payload["q_min"]] * 2
+    m = parse_model(spec["model"])
+    assert float(np.array(payload["x_star"]) @ m.excess_mean) == pytest.approx(0.05, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # general-opt output
 # ---------------------------------------------------------------------------
@@ -318,6 +338,16 @@ def test_general_opt_bad_utility_exit_1(tmp_path, capsys):
     ])
     assert code == 1
     assert "cubic" in capsys.readouterr().err
+
+
+def test_general_opt_log_takes_no_parameter(tmp_path, capsys):
+    code = main([
+        "general-opt", "--spec", str(SPECS / "exp1.json"), "--out", str(tmp_path / "o"),
+        "--utility", "log:5",
+    ])
+    assert code == 1
+    assert "log utility takes no parameter" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +582,30 @@ def test_exp_opt_and_large_market_load_no_scipy(tmp_path):
     assert "'scipy.special'" in loaded and "scipy.optimize" not in loaded
 
 
+def test_mc_verify_loads_no_scipy_optimize(tmp_path):
+    argv = ["mc-verify", "--spec", str(SPECS / "exp1.json"), "--out", str(tmp_path / "e.txt"), "--paths", "20000"]
+    loaded = _fresh_python(_main_calls(argv) + _SCIPY_MODULES).splitlines()[-1]
+    assert "scipy.optimize" not in loaded
+    # on a GIG law it loads what exp-opt loads: scipy.special and no more
+    gig = ["--spec", str(SPECS / "gig.json"), "--out", str(tmp_path / "g.out")]
+    mc_verify = _fresh_python(_main_calls(["mc-verify"] + gig + ["--paths", "20000"]) + _SCIPY_MODULES)
+    exp_opt = _fresh_python(_main_calls(["exp-opt"] + gig) + _SCIPY_MODULES)
+    assert "'scipy.special'" in mc_verify
+    assert mc_verify.splitlines()[-1] == exp_opt.splitlines()[-1]
+
+
+@pytest.mark.parametrize("spec", ["gaussian", "gig", "exp1"])
+def test_mc_verify_silent_under_warnings_as_errors(tmp_path, spec):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nmvmopt", "mc-verify",
+         "--spec", str(SPECS / f"{spec}.json"), "--out", str(tmp_path / "r.txt")],
+        capture_output=True, text=True, cwd=str(REPO),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "OVERALL PASS"
+
+
 def test_package_resolves_submodules_on_first_access():
     import nmvmopt
 
@@ -567,8 +621,8 @@ def test_package_resolves_submodules_on_first_access():
     ["mc-verify", "--spec", str(SPECS / "exp1.json"), "--paths", "20000"],
 ])
 def test_lazily_imported_subcommands_match_in_process_output(tmp_path, argv, capsys):
-    # a fresh interpreter imports scipy.optimize only once the subcommand
-    # runs; the test process imported it up front
+    # a fresh interpreter imports scipy modules only once the subcommand
+    # needs them; the test process imported them up front
     fresh, here = tmp_path / "fresh.out", tmp_path / "here.out"
     _fresh_python(_main_calls(argv + ["--out", str(fresh)]))
     assert main(argv + ["--out", str(here)]) == 0

@@ -459,8 +459,8 @@ def test_exp1_instance_against_crn_brute_force(rng):
     assert est.within(res.optimal_utility, 3.0)
     span = float(np.max(np.abs(res.x_star))) * 2 + 0.5
     x_bf = mc_oracle.brute_force_optimize(
-        m, e, lambda w: -np.exp(-w), cfg, box=[(-span, span)] * 2
-    )
+        m, e, lambda k, w: -((-1.0) ** k) * np.exp(-w), cfg, box=[(-span, span)] * 2
+    ).x
     obj = mc_oracle.crn_objective(m, e, lambda w: -np.exp(-w), 1.0, cfg)
     assert obj(res.x_star) >= obj(x_bf) - 3.0 * est.stderr
 

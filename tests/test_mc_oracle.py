@@ -1,11 +1,13 @@
 import itertools
 import math
+import time
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import random_spd_market
+from conftest import random_spd_market, sane_exp_market
 from nmvmopt import exp_opt, mc_oracle
 from nmvmopt.mixing import Constant, Exponential
 from nmvmopt.model import MarketModel, Portfolio
@@ -19,6 +21,14 @@ from nmvmopt.mc_oracle import (
     mc_expected_utility,
     sample_returns,
 )
+
+
+def _neg_exp(k, w):
+    """U^(k)(w) of U(w) = -exp(-w), as UtilitySpec.derivative."""
+    return -((-1.0) ** k) * np.exp(-w)
+
+
+_neg_exp_value = partial(_neg_exp, 0)
 
 
 def test_config_validation():
@@ -120,7 +130,7 @@ def test_predrawn_returns_give_the_same_bits(rng, antithetic):
     m = random_spd_market(rng, 3)
     e = Exponential(1.0)
     cfg = McConfig(seed=4, paths=10_001, antithetic=antithetic)
-    u = lambda w: -np.exp(-w)
+    u = _neg_exp_value
     returns = sample_returns(m, e, cfg)
     pf = Portfolio(np.array([0.4, -0.1, 0.2]), 1.0, 1.0)
     assert mc_expected_utility(m, e, u, pf, cfg, returns) == mc_expected_utility(m, e, u, pf, cfg)
@@ -128,8 +138,8 @@ def test_predrawn_returns_give_the_same_bits(rng, antithetic):
     small = McConfig(seed=4, paths=2_000, antithetic=antithetic)
     box = [(-2.0, 2.0)] * 3
     np.testing.assert_array_equal(
-        brute_force_optimize(m, e, u, small, box, returns=sample_returns(m, e, small)),
-        brute_force_optimize(m, e, u, small, box),
+        brute_force_optimize(m, e, _neg_exp, small, box, returns=sample_returns(m, e, small)).x,
+        brute_force_optimize(m, e, _neg_exp, small, box).x,
     )
 
 
@@ -151,20 +161,18 @@ def test_grid_search_symmetric_instance():
     x = brute_force_optimize(
         m,
         Constant(1.0),
-        lambda w: -np.exp(-w),
+        _neg_exp,
         McConfig(seed=3, paths=100_000, antithetic=True),
         box=[(0.0, 1.0)] * 2,
-    )
+    ).x
     assert x[0] == pytest.approx(x[1], abs=1e-6)
+    # the unconstrained optimum is about (1.9, 1.9): both bounds bind
+    np.testing.assert_array_equal(x, [1.0, 1.0])
 
 
-def _neg_exp(w):
-    return -np.exp(-w)
-
-
-def _exp_market(seed, n):
+def _exp_market(seed, n, draw=random_spd_market):
     """Seeded market with exponential mixing and the box mc-verify searches."""
-    m = random_spd_market(np.random.default_rng(seed), n)
+    m = draw(np.random.default_rng(seed), n)
     mix = Exponential(1.0)
     span = float(np.max(np.abs(exp_opt.optimize(m, mix).x_star))) * 2.0 + 1.0
     return m, mix, [(-span, span)] * n
@@ -213,10 +221,53 @@ def _lattice_then_nelder_mead(objective, box):
 def test_search_matches_lattice_reference(n, seed):
     m, mix, box = _exp_market(100 * n + seed, n)
     cfg = McConfig(seed=seed, paths=5_000, antithetic=True)
-    objective = crn_objective(m, mix, _neg_exp, 1.0, cfg)
-    got = objective(brute_force_optimize(m, mix, _neg_exp, cfg, box=box))
+    objective = crn_objective(m, mix, _neg_exp_value, 1.0, cfg)
+    got = objective(brute_force_optimize(m, mix, _neg_exp, cfg, box=box).x)
     want = objective(_lattice_then_nelder_mead(objective, box))
     assert got >= want - 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [6, 10, 20, 50])
+def test_search_reaches_the_crn_maximum_as_n_grows(n):
+    m, mix, box = _exp_market(n, n, sane_exp_market)
+    cfg = McConfig(seed=n, paths=20_000, antithetic=True)
+    returns = sample_returns(m, mix, cfg)
+    objective = crn_objective(m, mix, _neg_exp_value, 1.0, cfg, returns)
+    t0 = time.perf_counter()
+    res = brute_force_optimize(m, mix, _neg_exp, cfg, box=box, returns=returns)
+    elapsed = time.perf_counter() - t0
+    # the closed-form optimum x* is a feasible point of the same sample
+    want = objective(exp_opt.optimize(m, mix).x_star)
+    assert res.value == objective(res.x)
+    assert res.value >= want - 1e-12 * abs(want)
+    assert res.status == "decrement"
+    assert res.iterations <= 10
+    assert elapsed < 1.0
+
+
+def test_search_with_some_bounds_binding():
+    # a box half the optimum's size: some coordinates end on a bound,
+    # the rest inside, and the result meets the KKT conditions
+    m = sane_exp_market(np.random.default_rng(44), 6)
+    mix = Exponential(1.0)
+    x_star = exp_opt.optimize(m, mix).x_star
+    box = [(-0.5 * abs(v), 0.5 * abs(v)) if i % 2 else (-5.0, 5.0) for i, v in enumerate(x_star)]
+    cfg = McConfig(seed=5, paths=20_000, antithetic=True)
+    returns = sample_returns(m, mix, cfg)
+    res = brute_force_optimize(m, mix, _neg_exp, cfg, box=box, returns=returns)
+    assert res.status == "decrement"
+    excess = returns - m.r_f
+    g = excess.T @ np.exp(-(1.0 + m.r_f) - excess @ res.x) / excess.shape[0]
+    lo, hi = np.array(box).T
+    at_lo, at_hi = res.x == lo, res.x == hi
+    assert (at_lo | at_hi).any() and not (at_lo | at_hi).all()
+    assert np.all(g[at_lo] <= 0.0) and np.all(g[at_hi] >= 0.0)
+    inside = ~(at_lo | at_hi)
+    assert np.max(np.abs(g[inside])) <= 1e-4 * np.max(np.abs(g))
+    # no feasible point of a bounded quasi-Newton search does better
+    objective = crn_objective(m, mix, _neg_exp_value, 1.0, cfg, returns)
+    ref = minimize(lambda x: -objective(x), np.zeros(6), method="L-BFGS-B", bounds=box)
+    assert res.value >= -ref.fun - 1e-12 * abs(ref.fun)
 
 
 def test_brute_force_recovers_gaussian_optimum():
@@ -228,10 +279,10 @@ def test_brute_force_recovers_gaussian_optimum():
     got = brute_force_optimize(
         m,
         Constant(1.0),
-        lambda w: -np.exp(-w),
+        _neg_exp,
         McConfig(seed=7, paths=1_000_000, antithetic=True),
         box=[(-2.0, 2.0)] * 2,
-    )
+    ).x
     assert np.allclose(got, want, atol=1e-3)
 
 

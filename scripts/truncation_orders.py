@@ -15,6 +15,7 @@ import numpy as np
 
 from nmvmopt.exp_opt import optimize
 from nmvmopt.general_opt import (
+    MomentTable,
     ReducedDomain,
     UtilitySpec,
     exp_feasible_domain,
@@ -53,12 +54,13 @@ def main():
     rho_star = reduce_portfolio(res.x_star, tm, m).rho
     dom = exp_feasible_domain(tm, mix, 1.0, 1.0, ReducedDomain(rho=(0.0, 1.5 * rho_star)))
     print(f"\n{'order':>6} {'exact U at x_K':>16} {'rel loss':>12} {'trunc gap':>12}")
+    table = MomentTable.build(mix, max(args.orders))
     for order in args.orders:
-        point = optimize_3d(tm, mix, u, order=order, w0=1.0, r_f=m.r_f, domain=dom)
+        point = optimize_3d(tm, table, u, order=order, w0=1.0, r_f=m.r_f, domain=dom)
         x = reconstruct_portfolio(point, tm, m)
         u_exact = expected_exp_utility(m, mix, Portfolio(x, 1.0, 1.0))
         rel = abs(u_exact - res.optimal_utility) / abs(res.optimal_utility)
-        gap = abs(m_objective(point, u, order, tm, mix, 1.0, m.r_f) - u_exact)
+        gap = abs(m_objective(point, u, order, tm, table, 1.0, m.r_f) - u_exact)
         print(f"{order:>6} {u_exact:>16.10f} {rel:>12.2e} {gap:>12.2e}")
 
 

@@ -373,16 +373,23 @@ def run_general_opt(spec_path: str, out_path: str, order: int, utility_text: str
     raw, model, mix, a, w0 = _load_market(spec_path)
     utility, a_util = _parse_utility(utility_text, a)
     tm = transform(model, mix)
-    domain = general_opt.ReducedDomain(**_domain(raw, "phi", "psi", "rho"))
-    if utility.kind == "exponential":
+    box = _domain(raw, "phi", "psi", "rho")
+    try:
+        domain = general_opt.ReducedDomain(**box)
+    except ValueError as exc:
+        raise SpecFileError(f"invalid domain block: {exc}") from exc
+    exponential = utility.kind == "exponential"
+    if exponential:
         domain = general_opt.exp_feasible_domain(tm, mix, a_util, w0, domain)
+    # one table serves the search, m_value and the gap, which compares
+    # with the next order unless the exact expected utility is known
+    table = general_opt.MomentTable.build(mix, order if exponential else order + 1)
     point = general_opt.optimize_3d(
-        tm, mix, utility, order=order, w0=w0, r_f=model.r_f, domain=domain
+        tm, table, utility, order=order, w0=w0, r_f=model.r_f, domain=domain
     )
     x = general_opt.reconstruct_portfolio(point, tm, model)
-    m_value = general_opt.m_objective(point, utility, order, tm, mix, w0, model.r_f)
-    # truncation diagnostic: exact comparator for exponential, next order otherwise
-    if utility.kind == "exponential":
+    m_value = general_opt.m_objective(point, utility, order, tm, table, w0, model.r_f)
+    if exponential:
         try:
             exact = expected_exp_utility(model, mix, Portfolio(x, w0, a_util))
         except OverflowError:  # -exp(.) of an exponent beyond float range
@@ -391,7 +398,7 @@ def run_general_opt(spec_path: str, out_path: str, order: int, utility_text: str
     else:
         gap = abs(
             m_value
-            - general_opt.m_objective(point, utility, order + 1, tm, mix, w0, model.r_f)
+            - general_opt.m_objective(point, utility, order + 1, tm, table, w0, model.r_f)
         )
     if not math.isfinite(gap) or gap > abs(m_value):
         print(
@@ -466,9 +473,7 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
     def utility(k, w):
         return -((-a) ** k) * np.exp(-a * w)
 
-    est = mc_oracle.mc_expected_utility(
-        model, mix, functools.partial(utility, 0), Portfolio(res.x_star, w0, a), cfg, returns
-    )
+    est = mc_oracle.mc_expected_utility(model, returns, utility, Portfolio(res.x_star, w0, a), cfg)
     zu = abs(est.estimate - res.optimal_utility) / est.stderr
     check(
         "closed-form-utility",
@@ -478,7 +483,7 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
 
     span = float(np.max(np.abs(res.x_star))) * 2.0 + 1.0
     search = mc_oracle.brute_force_optimize(
-        model, mix, utility, cfg, box=[(-span, span)] * model.n, w0=w0, returns=returns
+        model, returns, utility, cfg, box=[(-span, span)] * model.n, w0=w0
     )
     # the CRN objective averages the same antithetic sample as ``est``, so
     # crn(x*) is est.estimate to the bit

@@ -216,6 +216,13 @@ class ReducedDomain:
     rho: tuple = (0.0, 5.0)
     ball: Optional[tuple] = None
 
+    def __post_init__(self):
+        for key in ("phi", "psi"):
+            if not all(-1.0 <= bound <= 1.0 for bound in getattr(self, key)):
+                raise ValueError(f"{key} bounds {getattr(self, key)} outside [-1, 1]")
+        if not self.rho[0] >= 0.0:
+            raise ValueError(f"rho lower bound {self.rho[0]} must be >= 0")
+
     def contains(self, p: ReducedPoint, tol: float = 1e-12) -> bool:
         inside = (
             self.phi[0] - tol <= p.phi <= self.phi[1] + tol
@@ -300,18 +307,15 @@ class MomentTable:
 def mean_wealth(
     point: ReducedPoint,
     tm: TransformedModel,
-    mix: MixingDistribution,
+    table: MomentTable,
     w0: float = 1.0,
     r_f: float = 0.0,
-    table: MomentTable | None = None,
 ) -> float:
-    """w(y) = W0(1+r_f) + W0 rho (|mu0| psi + |gamma0| phi EZ).  EZ comes
-    from ``table`` when one is given."""
-    ez = mix.mean if table is None else table.mean
+    """w(y) = W0(1+r_f) + W0 rho (|mu0| psi + |gamma0| phi EZ)."""
     g_norm = math.sqrt(tm.a_scalar)
     m_norm = math.sqrt(tm.c_scalar)
     return w0 * (1.0 + r_f) + w0 * point.rho * (
-        m_norm * point.psi + g_norm * point.phi * ez
+        m_norm * point.psi + g_norm * point.phi * table.mean
     )
 
 
@@ -319,20 +323,16 @@ def wealth_central_moment(
     k: int,
     point: ReducedPoint,
     tm: TransformedModel,
-    mix: MixingDistribution,
+    table: MomentTable,
     w0: float = 1.0,
-    table: MomentTable | None = None,
 ) -> float:
     """E[(W - w)^k] = W0^k rho^k sum_i C(k,i) E[(Z-EZ)^i Z^((k-i)/2)]
-    E[N^(k-i)] (|gamma0| phi)^i.  Odd normal moments drop half the terms;
-    k = 1 is identically zero.  The moments come from ``table`` (order at
-    least k) when one is given, else from a table built for this call."""
+    E[N^(k-i)] (|gamma0| phi)^i, from ``table`` (order at least k).  Odd
+    normal moments drop half the terms; k = 1 is identically zero."""
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
     if k == 1:
         return 0.0
-    if table is None:
-        table = MomentTable.build(mix, k)
     gp = math.sqrt(tm.a_scalar) * point.phi
     total = 0.0
     for i, c in table.terms[k]:
@@ -343,16 +343,16 @@ def wealth_central_moment(
 def dist_stats(
     point: ReducedPoint,
     tm: TransformedModel,
-    mix: MixingDistribution,
+    table: MomentTable,
     w0: float = 1.0,
 ) -> tuple[float, float, float]:
-    """(standard deviation, skewness, kurtosis) of W(y) in closed form.
+    """(standard deviation, skewness, kurtosis) of W(y) in closed form,
+    from ``table`` (order at least 4).
 
     Skewness and kurtosis do not depend on rho, so the moments are taken
     at rho = 1: at rho = 0 the result is std 0 with the limiting shape."""
-    table = MomentTable.build(mix, 4)
     unit = ReducedPoint(point.phi, point.psi, 1.0)
-    m2, m3, m4 = (wealth_central_moment(k, unit, tm, mix, w0, table) for k in (2, 3, 4))
+    m2, m3, m4 = (wealth_central_moment(k, unit, tm, table, w0) for k in (2, 3, 4))
     return point.rho * math.sqrt(m2), m3 / m2**1.5, m4 / m2**2
 
 
@@ -361,31 +361,26 @@ def m_objective(
     utility: UtilitySpec,
     order: int,
     tm: TransformedModel,
-    mix: MixingDistribution,
+    table: MomentTable,
     w0: float = 1.0,
     r_f: float = 0.0,
-    table: MomentTable | None = None,
 ) -> float:
-    """Truncated expansion M_order(phi, psi, rho) of E[U(W(y))].
-
-    ``table`` (order at least ``order``) saves rebuilding the moments on
-    every call; without it one is built for this call."""
+    """Truncated expansion M_order(phi, psi, rho) of E[U(W(y))], from
+    ``table`` (order at least ``order``)."""
     if order < 2:
         raise ValueError(f"order={order} must be >= 2")
     if utility.max_order is not None and order > utility.max_order:
         raise ValueError(
             f"order={order} exceeds utility max_order={utility.max_order}"
         )
-    if table is None:
-        table = MomentTable.build(mix, order)
-    elif table.order < order:
+    if table.order < order:
         raise ValueError(f"moment table of order {table.order} < order={order}")
-    w = mean_wealth(point, tm, mix, w0, r_f, table)
+    w = mean_wealth(point, tm, table, w0, r_f)
     total = float(utility.value(w))
     for k in range(2, order + 1):
         total += (
             float(utility.derivative(k, w))
-            * wealth_central_moment(k, point, tm, mix, w0, table)
+            * wealth_central_moment(k, point, tm, table, w0)
             / math.factorial(k)
         )
     return total
@@ -558,7 +553,7 @@ class _BallMap:
 
 def optimize_3d(
     tm: TransformedModel,
-    mix: MixingDistribution,
+    table: MomentTable,
     utility: UtilitySpec,
     order: int = 4,
     w0: float = 1.0,
@@ -567,28 +562,29 @@ def optimize_3d(
 ) -> ReducedPoint:
     """Maximize the truncated objective over the feasible reduced set.
 
-    Deterministic multi-start.  The mixing moments are tabled once.  A
-    lattice over the (phi, psi, rho) box is mapped into span coordinates
-    by ``_SpanBasis.lift``; a point no portfolio has is projected onto the
-    realizable set (the span part scaled to rho), so every candidate is
-    Gram-feasible, including rank-deficient markets where the feasible set
-    is the Gram boundary.  Candidates outside the rho ball or the domain's
-    ball are dropped.  The best four finite seeds
+    Deterministic multi-start on the moments of ``table`` (order at least
+    ``order``).  A lattice over the (phi, psi, rho) box is mapped into span
+    coordinates by ``_SpanBasis.lift``; a point no portfolio has is
+    projected onto the realizable set (the span part scaled to rho), so
+    every candidate is Gram-feasible, including rank-deficient markets
+    where the feasible set is the Gram boundary.  Candidates outside the
+    rho ball or the domain's ball are dropped.  The best four finite seeds
     are refined with Nelder-Mead in the unconstrained variable of
     ``_BallMap``, so no probe leaves those balls, and ties go to the
     lexicographically smallest seed.  A non-finite objective value counts
-    as -inf, both when ranking seeds and inside Nelder-Mead.
+    as -inf, both when ranking seeds and inside Nelder-Mead; when every
+    seed scores -inf, no point of the domain can be searched and
+    ``InfeasiblePointError`` is raised.
     """
     domain = domain or ReducedDomain()
     basis = _SpanBasis(tm)
     search = _BallMap(basis.dim, domain)
-    table = MomentTable.build(mix, order)
 
     def objective(u) -> float:
         p = basis.point_of(search.coords(u))
         if not domain.contains(p):
             return -math.inf
-        v = m_objective(p, utility, order, tm, mix, w0, r_f, table)
+        v = m_objective(p, utility, order, tm, table, w0, r_f)
         return v if math.isfinite(v) else -math.inf
 
     seeds = [np.zeros(basis.dim)]
@@ -616,6 +612,10 @@ def optimize_3d(
     )
 
     best_v, _, best_u = scored[0]
+    if best_v == -math.inf:
+        raise InfeasiblePointError(
+            f"no seed in the search domain has a finite order-{order} objective"
+        )
     for v, _, start in scored[:4]:
         if v == -math.inf:
             break

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -111,33 +110,25 @@ def sample_returns(
     )
 
 
-def _utility_fn(utility):
-    return utility.value if hasattr(utility, "value") else utility
-
-
 def _wealth(model: MarketModel, returns: np.ndarray, x: np.ndarray, w0: float):
     return w0 * (1.0 + model.r_f) + w0 * ((returns - model.r_f) @ x)
 
 
 def mc_expected_utility(
     model: MarketModel,
-    mix: MixingDistribution,
+    returns: np.ndarray,
     utility,
     portfolio: Portfolio,
     cfg: McConfig,
-    returns: np.ndarray | None = None,
 ) -> McEstimate:
-    """Empirical E[U(W(x))] with standard error.
+    """Empirical E[U(W(x))] with standard error over ``returns``, the
+    sample ``sample_returns(model, mix, cfg)``.
 
-    ``utility`` is a callable w -> U(w) or any object with a ``value``
-    attribute (e.g. a UtilitySpec).  Non-finite draws (such as log utility
-    hit by nonpositive wealth) propagate into the estimate and are counted.
-    ``returns``, if given, is ``sample_returns(model, mix, cfg)`` drawn
-    once by the caller; by default it is drawn here.
+    ``utility(k, w)`` is U^(k)(w), as ``UtilitySpec.derivative``; only
+    k = 0 is used here.  Non-finite draws (such as log utility hit by
+    nonpositive wealth) propagate into the estimate and are counted.
     """
-    if returns is None:
-        returns = sample_returns(model, mix, cfg)
-    vals = _utility_fn(utility)(_wealth(model, returns, portfolio.x, portfolio.w0))
+    vals = utility(0, _wealth(model, returns, portfolio.x, portfolio.w0))
     vals = np.asarray(vals, dtype=float)
     n_bad = int(np.size(vals) - np.count_nonzero(np.isfinite(vals)))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -154,26 +145,21 @@ def mc_expected_utility(
 
 def crn_objective(
     model: MarketModel,
-    mix: MixingDistribution,
+    returns: np.ndarray,
     utility,
     w0: float,
     cfg: McConfig,
-    returns: np.ndarray | None = None,
 ):
     """Deterministic common-random-numbers objective x -> estimated E[U(W)].
 
-    One sample set is drawn up front (or passed in as ``returns``, see
-    ``mc_expected_utility``) and shared by every probe portfolio, so the
-    surrogate is a smooth deterministic function suitable for argmax
-    comparisons.
+    Every probe portfolio shares the one sample ``returns`` (see
+    ``mc_expected_utility``, also for ``utility``), so the surrogate is a
+    smooth deterministic function suitable for argmax comparisons.
     """
-    if returns is None:
-        returns = sample_returns(model, mix, cfg)
-    ufn = _utility_fn(utility)
     half = returns.shape[0] // 2 if cfg.antithetic else None
 
     def objective(x: np.ndarray) -> float:
-        vals = ufn(_wealth(model, returns, np.asarray(x, dtype=float), w0))
+        vals = utility(0, _wealth(model, returns, np.asarray(x, dtype=float), w0))
         if half is not None:
             vals = 0.5 * (vals[:half] + vals[half : 2 * half])
         return block_mean(vals)
@@ -207,14 +193,14 @@ _DECREMENT_TOL = 1e-14
 
 def brute_force_optimize(
     model: MarketModel,
-    mix: MixingDistribution,
+    returns: np.ndarray,
     utility,
     cfg: McConfig,
-    box=None,
+    box,
     w0: float = 1.0,
-    returns: np.ndarray | None = None,
 ) -> SearchResult:
-    """Argmax of the CRN objective over the box; the test-oracle optimizer.
+    """Argmax of the CRN objective on ``returns`` over the box of one
+    (low, high) pair per asset; the test-oracle optimizer.
 
     ``utility(k, w)`` is U^(k)(w) for k = 0, 1, 2, as
     ``UtilitySpec.derivative``.  Wealth is affine in x, so the objective
@@ -227,14 +213,10 @@ def brute_force_optimize(
     takes the Newton step on the others, clipped to the box, and halves
     it until the Armijo condition holds.  It stops once the Newton
     decrement g'(-H)^-1 g is at most 1e-14 max(1, |f|).  Deterministic
-    for a fixed config; ``returns`` is as in ``crn_objective``.
+    for a fixed sample.
     """
-    if box is None:
-        box = [(-5.0, 5.0)] * model.n
     lo, hi = np.array(box, dtype=float).reshape(model.n, 2).T
-    if returns is None:
-        returns = sample_returns(model, mix, cfg)
-    objective = crn_objective(model, mix, partial(utility, 0), w0, cfg, returns)
+    objective = crn_objective(model, returns, utility, w0, cfg)
     excess = returns - model.r_f
     x = 0.5 * (lo + hi)
     f = objective(x)

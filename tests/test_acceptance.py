@@ -26,6 +26,7 @@ from nmvmopt.model import Portfolio, TransformedModel, expected_exp_utility, tra
 from nmvmopt import general_opt, large_market, mc_oracle
 from nmvmopt.exp_opt import log_g_min, log_h_function, minimize_h, optimize, solve_foc
 from nmvmopt.general_opt import (
+    MomentTable,
     ReducedDomain,
     ReducedPoint,
     UtilitySpec,
@@ -93,12 +94,15 @@ def test_criterion_02_exp1_example():
     res = optimize(m, e, a=a, w0=w0)
     cfg = mc_oracle.McConfig(seed=204, paths=1_000_000, antithetic=True)
     span = 2.0 * float(np.max(np.abs(res.x_star))) + 0.5
+    returns = mc_oracle.sample_returns(m, e, cfg)
+
+    def utility(k, w):
+        return -((-a) ** k) * np.exp(-a * w)
+
     x_bf = mc_oracle.brute_force_optimize(
-        m, e, lambda k, w: -((-a) ** k) * np.exp(-a * w), cfg, box=[(-span, span)] * 2, w0=w0
+        m, returns, utility, cfg, box=[(-span, span)] * 2, w0=w0
     ).x
-    est = mc_oracle.mc_expected_utility(
-        m, e, lambda w: -np.exp(-a * w), Portfolio(x_bf, w0, a), cfg
-    )
+    est = mc_oracle.mc_expected_utility(m, returns, utility, Portfolio(x_bf, w0, a), cfg)
     closed = -math.exp(-a * w0 * (1.0 + m.r_f) + log_g_min(res.transformed, e, res.q_min))
     z = abs(est.estimate - closed) / est.stderr
     assert z < 3.0
@@ -158,6 +162,7 @@ def test_criterion_05_moment_engine():
     worst_stats = 0.0
     for mix, seed in ((Exponential(1.0), 51), (GIG(-0.5, 1.0, 1.0), 52)):
         tm = TransformedModel.from_scalars(0.6, 1.1, -0.2, mix.s_lower_bound)
+        table = MomentTable.build(mix, 6)
         z = mix.sample(draws, seed=seed)
         g = np.random.Generator(np.random.Philox(key=seed + 1000)).standard_normal(draws)
         rz = np.sqrt(z)
@@ -175,12 +180,12 @@ def test_criterion_05_moment_engine():
             for k in (2, 3, 4, 5, 6):
                 pk = dev**k
                 se = float(pk.std() / math.sqrt(draws))
-                closed = wealth_central_moment(k, p, tm, mix, w0)
+                closed = wealth_central_moment(k, p, tm, table, w0)
                 worst_z = max(worst_z, abs(closed - float(pk.mean())) / se)
-            std, skew, kurt = dist_stats(p, tm, mix, w0)
-            m2 = wealth_central_moment(2, p, tm, mix, w0)
-            m3 = wealth_central_moment(3, p, tm, mix, w0)
-            m4 = wealth_central_moment(4, p, tm, mix, w0)
+            std, skew, kurt = dist_stats(p, tm, table, w0)
+            m2 = wealth_central_moment(2, p, tm, table, w0)
+            m3 = wealth_central_moment(3, p, tm, table, w0)
+            m4 = wealth_central_moment(4, p, tm, table, w0)
             worst_stats = max(
                 worst_stats,
                 abs(std / math.sqrt(m2) - 1.0),
@@ -209,7 +214,7 @@ def test_criterion_06_quadratic_exactness():
         m = sane_exp_market(rng, n)
         tm = transform(m, e)
         point = optimize_3d(
-            tm, e, u, order=4, w0=1.0, r_f=m.r_f,
+            tm, MomentTable.build(e, 4), u, order=4, w0=1.0, r_f=m.r_f,
             domain=general_opt.ReducedDomain(rho=(0.0, 2.0)),
         )
         x = reconstruct_portfolio(point, tm, m)
@@ -246,13 +251,14 @@ def test_criterion_07_exponential_cross_check():
         dom = exp_feasible_domain(tm, e, 1.0, 1.0, ReducedDomain(rho=(0.0, 1.5 * rho_star)))
         gaps = {}
         for order in (4, 6):
-            point = optimize_3d(tm, e, u, order=order, w0=1.0, r_f=m.r_f, domain=dom)
+            table = MomentTable.build(e, order)
+            point = optimize_3d(tm, table, u, order=order, w0=1.0, r_f=m.r_f, domain=dom)
             x = reconstruct_portfolio(point, tm, m)
             u_exact = expected_exp_utility(m, e, Portfolio(x, 1.0, 1.0))
             if order == 4:
                 rels.append(abs(u_exact - res.optimal_utility) / abs(res.optimal_utility))
             gaps[order] = abs(
-                m_objective(point, u, order, tm, e, 1.0, m.r_f) - u_exact
+                m_objective(point, u, order, tm, table, 1.0, m.r_f) - u_exact
             )
         shrinks += gaps[6] < gaps[4]
     assert max(rels) < 0.02

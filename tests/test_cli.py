@@ -137,6 +137,9 @@ def large_market_spec():
             {"kind": "array", "values": [0.5] * 15 + [True]},
             "large_market.gamma.values[15]",
         ),
+        ("general-opt", ("domain",), {"phi": [-2.0, 2.0]}, "domain block: phi"),
+        ("general-opt", ("domain",), {"psi": [0.9, 1.5]}, "domain block: psi"),
+        ("general-opt", ("domain",), {"rho": [-1.0, 2.0]}, "domain block: rho"),
     ],
 )
 def test_non_number_in_spec_names_its_field(tmp_path, capsys, command, path, value, field):
@@ -217,6 +220,40 @@ def test_general_opt_rho_zero_box(tmp_path):
     assert payload["x"] == pytest.approx([0.0, 0.0], abs=1e-12)
     assert payload["m_value"] == pytest.approx(-math.exp(-1.0), rel=1e-12)
     assert payload["rho"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [{"rho": [3.0, 4.0]}, {"phi": [0.99, 1.0], "psi": [-1.0, -0.99]}, {"rho": [0.5, 0.5]}],
+)
+def test_general_opt_domain_without_a_finite_seed_exit_2(tmp_path, capsys, domain):
+    # beyond the finite-utility ball (rho about 1.57), cosines no portfolio
+    # has, and a point rho box the search cannot reach
+    raw = json.loads((SPECS / "exp1.json").read_text())
+    raw["domain"] = domain
+    out = tmp_path / "out.json"
+    assert main(["general-opt", "--spec", write_spec(tmp_path, raw), "--out", str(out)]) == 2
+    assert "finite order-4 objective" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("utility,order", [("exponential", 4), ("log", 5)])
+def test_general_opt_builds_one_moment_table(tmp_path, monkeypatch, utility, order):
+    # exponential utility takes its gap from the exact value, the others
+    # from the next order, which the same table holds
+    from nmvmopt import general_opt
+
+    builds = []
+    build = general_opt.MomentTable.build
+
+    def counting(mix, k):
+        builds.append(k)
+        return build(mix, k)
+
+    monkeypatch.setattr(general_opt.MomentTable, "build", counting)
+    argv = ["general-opt", "--spec", str(SPECS / "exp1.json"), "--utility", utility]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert builds == [order]
 
 
 def test_general_opt_quadratic_matches_oracle(tmp_path):

@@ -453,15 +453,16 @@ def test_exp1_instance_against_crn_brute_force(rng):
     e = Exponential(1.0)
     res = optimize(m, e, a=1.0, w0=1.0)
     cfg = mc_oracle.McConfig(seed=31, paths=400_000, antithetic=True)
-    est = mc_oracle.mc_expected_utility(
-        m, e, lambda w: -np.exp(-w), Portfolio(res.x_star, 1.0, 1.0), cfg
-    )
+    returns = mc_oracle.sample_returns(m, e, cfg)
+
+    def utility(k, w):
+        return -((-1.0) ** k) * np.exp(-w)
+
+    est = mc_oracle.mc_expected_utility(m, returns, utility, Portfolio(res.x_star, 1.0, 1.0), cfg)
     assert est.within(res.optimal_utility, 3.0)
     span = float(np.max(np.abs(res.x_star))) * 2 + 0.5
-    x_bf = mc_oracle.brute_force_optimize(
-        m, e, lambda k, w: -((-1.0) ** k) * np.exp(-w), cfg, box=[(-span, span)] * 2
-    ).x
-    obj = mc_oracle.crn_objective(m, e, lambda w: -np.exp(-w), 1.0, cfg)
+    x_bf = mc_oracle.brute_force_optimize(m, returns, utility, cfg, box=[(-span, span)] * 2).x
+    obj = mc_oracle.crn_objective(m, returns, utility, 1.0, cfg)
     assert obj(res.x_star) >= obj(x_bf) - 3.0 * est.stderr
 
 

@@ -10,10 +10,11 @@ from scipy.optimize import minimize as sp_minimize
 
 from conftest import random_spd_market, sane_exp_market
 from nmvmopt.errors import InfeasiblePointError
-from nmvmopt.mixing import GIG, Constant, Exponential
+from nmvmopt.mixing import GIG, BoundedUniform, Constant, Exponential
 from nmvmopt.model import Portfolio, TransformedModel, expected_exp_utility, transform
 from nmvmopt import exp_opt, general_opt, mc_oracle
 from nmvmopt.general_opt import (
+    MomentTable,
     ReducedDomain,
     ReducedPoint,
     UtilitySpec,
@@ -113,6 +114,17 @@ def test_reduced_point_validation():
         ReducedPoint(0.0, 0.0, -0.1)
 
 
+@pytest.mark.parametrize(
+    "box,key",
+    [({"phi": (-2.0, 2.0)}, "phi"), ({"psi": (0.9, 1.5)}, "psi"), ({"rho": (-1.0, 2.0)}, "rho")],
+)
+def test_reduced_domain_validation(box, key):
+    with pytest.raises(ValueError, match=key):
+        ReducedDomain(**box)
+    # bounds on the edge of [-1, 1] and a point rho box at 0 are valid
+    ReducedDomain(phi=(-1.0, 1.0), psi=(1.0, 1.0), rho=(0.0, 0.0))
+
+
 def test_gram_feasibility():
     tm = TransformedModel.from_scalars(1.0, 1.0, 0.0, -1.0)  # orthogonal pair
     assert ReducedPoint(1.0, 0.0, 1.0).gram_feasible(tm)
@@ -125,18 +137,29 @@ def test_gram_feasibility():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "mix", [Constant(1.3), Exponential(2.0), GIG(-0.5, 1.0, 1.0), BoundedUniform(0.5, 1.5)]
+)
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_moment_table_extends_lower_orders_exactly(mix, order):
+    # one table of the highest order a caller needs serves every lower order
+    low, high = MomentTable.build(mix, order), MomentTable.build(mix, order + 1)
+    assert high.mean == low.mean
+    assert high.terms[: order + 1] == low.terms
+    assert high.order == order + 1
+
+
 def test_mean_wealth_rho_zero():
     tm = TransformedModel.from_scalars(0.5, 0.8, 0.1, -1.0)
     e = Exponential(1.0)
-    assert mean_wealth(ReducedPoint(0.3, 0.4, 0.0), tm, e, 1.5, 0.02) == pytest.approx(
-        1.5 * 1.02, rel=1e-14
-    )
+    got = mean_wealth(ReducedPoint(0.3, 0.4, 0.0), tm, MomentTable.build(e, 2), 1.5, 0.02)
+    assert got == pytest.approx(1.5 * 1.02, rel=1e-14)
 
 
 def test_mean_wealth_pure_drift_direction():
     tm = TransformedModel.from_scalars(0.0, 0.49, 0.0, -1.0)  # |gamma0| = 0
     e = Exponential(1.0)
-    got = mean_wealth(ReducedPoint(0.0, 1.0, 1.0), tm, e, 2.0, 0.0)
+    got = mean_wealth(ReducedPoint(0.0, 1.0, 1.0), tm, MomentTable.build(e, 2), 2.0, 0.0)
     assert got == pytest.approx(2.0 + 2.0 * 0.7, rel=1e-14)
 
 
@@ -144,9 +167,10 @@ def test_wealth_central_moment_k1_and_k2():
     tm = TransformedModel.from_scalars(0.8, 1.0, 0.2, -1.0)
     e = Exponential(1.0)
     p = ReducedPoint(0.5, 0.2, 1.3)
-    assert wealth_central_moment(1, p, tm, e, 1.0) == 0.0
+    table = MomentTable.build(e, 2)
+    assert wealth_central_moment(1, p, tm, table, 1.0) == 0.0
     want = 1.3**2 * (e.mean + 0.8 * 0.25 * e.variance)
-    assert wealth_central_moment(2, p, tm, e, 1.0) == pytest.approx(want, rel=1e-12)
+    assert wealth_central_moment(2, p, tm, table, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("mix", [Exponential(1.0), GIG(-0.5, 1.0, 1.0)])
@@ -158,20 +182,22 @@ def test_wealth_central_moments_against_mc(mix):
     z = mix.sample(draws, seed=77)
     g = np.random.Generator(np.random.Philox(key=78)).standard_normal(draws)
     dev = w0 * p.rho * (math.sqrt(tm.a_scalar) * p.phi * (z - mix.mean) + np.sqrt(z) * g)
+    table = MomentTable.build(mix, 6)
     for k in (2, 3, 4, 5, 6):
         emp = dev**k
         se = emp.std() / math.sqrt(draws)
-        assert abs(wealth_central_moment(k, p, tm, mix, w0) - emp.mean()) < 4.0 * se
+        assert abs(wealth_central_moment(k, p, tm, table, w0) - emp.mean()) < 4.0 * se
 
 
 def test_dist_stats_consistency():
     e = Exponential(1.0)
     tm = TransformedModel.from_scalars(0.9, 1.0, 0.0, -1.0)
     p = ReducedPoint(0.5, 0.1, 1.0)
-    std, skew, kurt = dist_stats(p, tm, e, 1.0)
-    m2 = wealth_central_moment(2, p, tm, e, 1.0)
-    m3 = wealth_central_moment(3, p, tm, e, 1.0)
-    m4 = wealth_central_moment(4, p, tm, e, 1.0)
+    table = MomentTable.build(e, 4)
+    std, skew, kurt = dist_stats(p, tm, table, 1.0)
+    m2 = wealth_central_moment(2, p, tm, table, 1.0)
+    m3 = wealth_central_moment(3, p, tm, table, 1.0)
+    m4 = wealth_central_moment(4, p, tm, table, 1.0)
     assert std == pytest.approx(math.sqrt(m2), rel=1e-10)
     assert skew == pytest.approx(m3 / m2**1.5, rel=1e-10)
     assert kurt == pytest.approx(m4 / m2**2, rel=1e-10)
@@ -180,7 +206,7 @@ def test_dist_stats_consistency():
 def test_dist_stats_gaussian_case():
     c = Constant(1.0)
     tm = TransformedModel.from_scalars(0.7, 1.0, 0.0, -math.inf)
-    _, skew, kurt = dist_stats(ReducedPoint(0.4, 0.2, 1.0), tm, c, 1.0)
+    _, skew, kurt = dist_stats(ReducedPoint(0.4, 0.2, 1.0), tm, MomentTable.build(c, 4), 1.0)
     assert skew == pytest.approx(0.0, abs=1e-12)
     assert kurt == pytest.approx(3.0, rel=1e-12)
 
@@ -188,7 +214,7 @@ def test_dist_stats_gaussian_case():
 def test_dist_stats_symmetric_mixture():
     e = Exponential(1.0)
     tm = TransformedModel.from_scalars(0.7, 1.0, 0.0, -1.0)
-    _, skew, kurt = dist_stats(ReducedPoint(0.0, 0.5, 1.0), tm, e, 1.0)
+    _, skew, kurt = dist_stats(ReducedPoint(0.0, 0.5, 1.0), tm, MomentTable.build(e, 4), 1.0)
     assert skew == pytest.approx(0.0, abs=1e-12)
     assert kurt == pytest.approx(3.0 * e.moment(2.0) / e.mean**2, rel=1e-12)
 
@@ -203,8 +229,9 @@ def test_m_objective_rho_zero_any_order():
     tm = TransformedModel.from_scalars(0.5, 0.7, 0.0, -1.0)
     u = UtilitySpec.exponential(1.0)
     p0 = ReducedPoint(0.0, 0.0, 0.0)
+    table = MomentTable.build(e, 6)
     for order in (2, 4, 6):
-        assert m_objective(p0, u, order, tm, e, 1.0, 0.03) == pytest.approx(
+        assert m_objective(p0, u, order, tm, table, 1.0, 0.03) == pytest.approx(
             -math.exp(-1.03), rel=1e-14
         )
 
@@ -215,11 +242,12 @@ def test_m_objective_quadratic_closed_form():
     b = 0.3
     u = UtilitySpec.quadratic(b)
     p = ReducedPoint(0.4, 0.6, 0.8)
-    w = mean_wealth(p, tm, e, 1.0, 0.0)
-    j2 = wealth_central_moment(2, p, tm, e, 1.0)
+    table = MomentTable.build(e, 8)
+    w = mean_wealth(p, tm, table, 1.0, 0.0)
+    j2 = wealth_central_moment(2, p, tm, table, 1.0)
     want = w - b * w * w - b * j2
     for order in (2, 3, 4, 8):
-        assert m_objective(p, u, order, tm, e, 1.0, 0.0) == pytest.approx(want, rel=1e-12)
+        assert m_objective(p, u, order, tm, table, 1.0, 0.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_m_objective_order_validation():
@@ -228,10 +256,11 @@ def test_m_objective_order_validation():
     u = UtilitySpec.custom(
         value=lambda w: w, derivative=lambda k, w: 1.0 if k == 1 else 0.0, max_order=3
     )
+    table = MomentTable.build(e, 4)
     with pytest.raises(ValueError):
-        m_objective(ReducedPoint(0, 0, 1.0), u, 4, tm, e)
+        m_objective(ReducedPoint(0, 0, 1.0), u, 4, tm, table)
     with pytest.raises(ValueError):
-        m_objective(ReducedPoint(0, 0, 1.0), u, 1, tm, e)
+        m_objective(ReducedPoint(0, 0, 1.0), u, 1, tm, table)
 
 
 def test_m_objective_quadratic_matches_mc(rng):
@@ -242,9 +271,10 @@ def test_m_objective_quadratic_matches_mc(rng):
     u = UtilitySpec.quadratic(0.25)
     x = rng.normal(0.0, 0.4, 3)
     p = reduce_portfolio(x, tm, m)
-    val = m_objective(p, u, 4, tm, e, 1.0, m.r_f)
+    val = m_objective(p, u, 4, tm, MomentTable.build(e, 4), 1.0, m.r_f)
+    cfg = mc_oracle.McConfig(seed=21, paths=2_000_000)
     est = mc_oracle.mc_expected_utility(
-        m, e, u, Portfolio(x), mc_oracle.McConfig(seed=21, paths=2_000_000)
+        m, mc_oracle.sample_returns(m, e, cfg), u.derivative, Portfolio(x), cfg
     )
     assert est.within(val, 3.0)
 
@@ -260,7 +290,9 @@ def test_optimize_3d_quadratic_gamma_free():
     e = Exponential(1.0)
     tm = TransformedModel.from_scalars(0.0, 0.36, 0.0, -1.0)
     u = UtilitySpec.quadratic(0.2)
-    p = optimize_3d(tm, e, u, order=4, w0=1.0, r_f=0.0, domain=ReducedDomain(rho=(0.0, 2.0)))
+    p = optimize_3d(
+        tm, MomentTable.build(e, 4), u, order=4, w0=1.0, r_f=0.0, domain=ReducedDomain(rho=(0.0, 2.0))
+    )
     assert p.psi == pytest.approx(1.0, abs=1e-6)
     assert p.rho > 0.0
 
@@ -284,7 +316,8 @@ def test_optimize_3d_quadratic_matches_brute_force(n, rng):
     tm = transform(m, e)
     b = 0.3
     u = UtilitySpec.quadratic(b)
-    point = optimize_3d(tm, e, u, order=4, w0=1.0, r_f=m.r_f, domain=ReducedDomain(rho=(0.0, 2.0)))
+    table = MomentTable.build(e, 4)
+    point = optimize_3d(tm, table, u, order=4, w0=1.0, r_f=m.r_f, domain=ReducedDomain(rho=(0.0, 2.0)))
     x = reconstruct_portfolio(point, tm, m)
 
     exact = _exact_quadratic_objective(m, e, b)
@@ -295,7 +328,7 @@ def test_optimize_3d_quadratic_matches_brute_force(n, rng):
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000, "maxfev": 40000},
     )
     assert np.allclose(x, res.x, atol=1e-4)
-    assert m_objective(point, u, 4, tm, e, 1.0, m.r_f) == pytest.approx(
+    assert m_objective(point, u, 4, tm, table, 1.0, m.r_f) == pytest.approx(
         exact(x), rel=1e-10
     )
 
@@ -322,7 +355,9 @@ def test_optimize_3d_degenerate_geometries(case):
     else:
         m = MarketModel(n=1, r_f=0.0, mu=[0.07], gamma=[0.02], a_matrix=[[0.25]])
     tm = transform(m, e)
-    point = optimize_3d(tm, e, u, order=4, w0=1.0, r_f=0.0, domain=ReducedDomain(rho=(0.0, 2.0)))
+    point = optimize_3d(
+        tm, MomentTable.build(e, 4), u, order=4, w0=1.0, r_f=0.0, domain=ReducedDomain(rho=(0.0, 2.0))
+    )
     x = reconstruct_portfolio(point, tm, m)
 
     exact = _exact_quadratic_objective(m, e, 0.3)
@@ -341,8 +376,9 @@ def test_optimize_3d_not_improved_by_random_probes(rng):
     tm = transform(m, e)
     u = UtilitySpec.quadratic(0.3)
     dom = ReducedDomain(rho=(0.0, 2.0))
-    point = optimize_3d(tm, e, u, order=4, w0=1.0, r_f=m.r_f, domain=dom)
-    best = m_objective(point, u, 4, tm, e, 1.0, m.r_f)
+    table = MomentTable.build(e, 4)
+    point = optimize_3d(tm, table, u, order=4, w0=1.0, r_f=m.r_f, domain=dom)
+    best = m_objective(point, u, 4, tm, table, 1.0, m.r_f)
     tries = 0
     while tries < 10_000:
         x = rng.normal(0.0, 0.7, 3)
@@ -350,7 +386,7 @@ def test_optimize_3d_not_improved_by_random_probes(rng):
         if not dom.contains(p):
             continue
         tries += 1
-        assert m_objective(p, u, 4, tm, e, 1.0, m.r_f) <= best + 1e-8
+        assert m_objective(p, u, 4, tm, table, 1.0, m.r_f) <= best + 1e-8
 
 
 def test_exponential_cross_check_order4(rng):
@@ -361,7 +397,7 @@ def test_exponential_cross_check_order4(rng):
     u = UtilitySpec.exponential(1.0)
     rho_star = reduce_portfolio(res.x_star, tm, m).rho
     dom = exp_feasible_domain(tm, e, 1.0, 1.0, ReducedDomain(rho=(0.0, 1.5 * rho_star)))
-    point = optimize_3d(tm, e, u, order=4, w0=1.0, r_f=m.r_f, domain=dom)
+    point = optimize_3d(tm, MomentTable.build(e, 4), u, order=4, w0=1.0, r_f=m.r_f, domain=dom)
     x = reconstruct_portfolio(point, tm, m)
     u_exact = expected_exp_utility(m, e, Portfolio(x, 1.0, 1.0))
     assert abs(u_exact - res.optimal_utility) < 0.02 * abs(res.optimal_utility)
@@ -480,8 +516,9 @@ def test_roundtrip_preserves_objective(rng):
     x = rng.normal(0.0, 0.3, 3)
     p = reduce_portfolio(x, tm, m)
     x2 = reconstruct_portfolio(p, tm, m)
-    a = m_objective(p, u, 4, tm, e, 1.0, m.r_f)
-    b = m_objective(reduce_portfolio(x2, tm, m), u, 4, tm, e, 1.0, m.r_f)
+    table = MomentTable.build(e, 4)
+    a = m_objective(p, u, 4, tm, table, 1.0, m.r_f)
+    b = m_objective(reduce_portfolio(x2, tm, m), u, 4, tm, table, 1.0, m.r_f)
     assert a == pytest.approx(b, rel=1e-10)
     # and the exact utilities agree too
     ua = expected_exp_utility(m, e, Portfolio(x))
@@ -526,7 +563,8 @@ def test_optimize_3d_never_probes_outside_exp_ball(monkeypatch, order):
     monkeypatch.setattr(
         ReducedDomain, "contains", lambda self, p, tol=1e-12: seen.append(real(self, p, tol)) or seen[-1]
     )
-    optimize_3d(tm, mix, UtilitySpec.exponential(a), order=order, w0=w0, r_f=m.r_f, domain=dom)
+    table = MomentTable.build(mix, order)
+    optimize_3d(tm, table, UtilitySpec.exponential(a), order=order, w0=w0, r_f=m.r_f, domain=dom)
     assert len(seen) > 100
     assert all(seen)
 
@@ -547,7 +585,7 @@ def test_log_and_power_search_budget_and_finite_starts(monkeypatch, utility):
 
     monkeypatch.setattr(general_opt, "m_objective", counting)
     monkeypatch.setattr(general_opt, "minimize", spying)
-    optimize_3d(tm, mix, utility, order=4, w0=w0, r_f=m.r_f, domain=ReducedDomain())
+    optimize_3d(tm, MomentTable.build(mix, 4), utility, order=4, w0=w0, r_f=m.r_f, domain=ReducedDomain())
     assert len(calls) <= 5000
     assert starts and all(math.isfinite(v) for v in starts)
 
@@ -561,15 +599,16 @@ def test_optimize_3d_not_improved_by_random_feasible_probes(rng, spec, kind):
     else:
         u = UtilitySpec.log() if kind == "log" else UtilitySpec.power(2.0)
         dom = ReducedDomain()
-    point = optimize_3d(tm, mix, u, order=4, w0=w0, r_f=m.r_f, domain=dom)
-    best = m_objective(point, u, 4, tm, mix, w0, m.r_f)
+    table = MomentTable.build(mix, 4)
+    point = optimize_3d(tm, table, u, order=4, w0=w0, r_f=m.r_f, domain=dom)
+    best = m_objective(point, u, 4, tm, table, w0, m.r_f)
     assert dom.contains(point)
     tries = 0
     while tries < 3000:
         p = reduce_portfolio(rng.normal(0.0, 1.0, m.n), tm, m)
         if not dom.contains(p):
             continue
-        v = m_objective(p, u, 4, tm, mix, w0, m.r_f)
+        v = m_objective(p, u, 4, tm, table, w0, m.r_f)
         if math.isfinite(v):
             tries += 1
             assert v <= best + 1e-12

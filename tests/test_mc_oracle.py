@@ -1,7 +1,6 @@
 import itertools
 import math
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -26,9 +25,6 @@ from nmvmopt.mc_oracle import (
 def _neg_exp(k, w):
     """U^(k)(w) of U(w) = -exp(-w), as UtilitySpec.derivative."""
     return -((-1.0) ** k) * np.exp(-w)
-
-
-_neg_exp_value = partial(_neg_exp, 0)
 
 
 def test_config_validation():
@@ -79,12 +75,13 @@ def test_sample_mean_and_covariance_identities(rng):
 
 def test_zero_portfolio_exact():
     m = MarketModel(n=2, r_f=0.03, mu=[0.1, 0.1], gamma=[0.0, 0.0], a_matrix=np.eye(2))
+    cfg = McConfig(seed=9, paths=1000)
     est = mc_expected_utility(
         m,
-        Exponential(1.0),
-        lambda w: -np.exp(-w),
+        sample_returns(m, Exponential(1.0), cfg),
+        _neg_exp,
         Portfolio(np.zeros(2), w0=2.0),
-        McConfig(seed=9, paths=1000),
+        cfg,
     )
     assert est.estimate == pytest.approx(-math.exp(-2.06), rel=1e-14)
     assert est.stderr == 0.0
@@ -92,12 +89,13 @@ def test_zero_portfolio_exact():
 
 def test_nonfinite_draws_counted(rng):
     m = random_spd_market(rng, 2)
+    cfg = McConfig(seed=4, paths=10_000)
     est = mc_expected_utility(
         m,
-        Constant(1.0),
-        lambda w: np.where(w > 1.0, np.log(np.where(w > 1.0, w, 1.0)), -np.inf),
+        sample_returns(m, Constant(1.0), cfg),
+        lambda k, w: np.where(w > 1.0, np.log(np.where(w > 1.0, w, 1.0)), -np.inf),
         Portfolio(np.array([3.0, 3.0])),
-        McConfig(seed=4, paths=10_000),
+        cfg,
     )
     assert est.n_nonfinite > 0
     assert est.estimate == -math.inf
@@ -107,40 +105,21 @@ def test_antithetic_reduces_stderr(rng):
     m = random_spd_market(rng, 2)
     e = Exponential(1.0)
     pf = Portfolio(np.array([0.4, 0.2]))
-    plain = mc_expected_utility(
-        m, e, lambda w: -np.exp(-w), pf, McConfig(seed=11, paths=200_000)
-    )
-    anti = mc_expected_utility(
-        m, e, lambda w: -np.exp(-w), pf, McConfig(seed=11, paths=200_000, antithetic=True)
-    )
+    cfg = McConfig(seed=11, paths=200_000)
+    plain = mc_expected_utility(m, sample_returns(m, e, cfg), _neg_exp, pf, cfg)
+    cfg = McConfig(seed=11, paths=200_000, antithetic=True)
+    anti = mc_expected_utility(m, sample_returns(m, e, cfg), _neg_exp, pf, cfg)
     assert anti.stderr < plain.stderr
 
 
 def test_crn_bit_reproducible(rng):
     m = random_spd_market(rng, 2)
     e = Exponential(1.0)
-    o1 = crn_objective(m, e, lambda w: -np.exp(-w), 1.0, McConfig(seed=1, paths=50_000))
-    o2 = crn_objective(m, e, lambda w: -np.exp(-w), 1.0, McConfig(seed=1, paths=50_000))
+    cfg = McConfig(seed=1, paths=50_000)
+    o1 = crn_objective(m, sample_returns(m, e, cfg), _neg_exp, 1.0, cfg)
+    o2 = crn_objective(m, sample_returns(m, e, cfg), _neg_exp, 1.0, cfg)
     x = np.array([0.3, -0.2])
     assert o1(x) == o2(x)
-
-
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_predrawn_returns_give_the_same_bits(rng, antithetic):
-    m = random_spd_market(rng, 3)
-    e = Exponential(1.0)
-    cfg = McConfig(seed=4, paths=10_001, antithetic=antithetic)
-    u = _neg_exp_value
-    returns = sample_returns(m, e, cfg)
-    pf = Portfolio(np.array([0.4, -0.1, 0.2]), 1.0, 1.0)
-    assert mc_expected_utility(m, e, u, pf, cfg, returns) == mc_expected_utility(m, e, u, pf, cfg)
-    assert crn_objective(m, e, u, 1.0, cfg, returns)(pf.x) == crn_objective(m, e, u, 1.0, cfg)(pf.x)
-    small = McConfig(seed=4, paths=2_000, antithetic=antithetic)
-    box = [(-2.0, 2.0)] * 3
-    np.testing.assert_array_equal(
-        brute_force_optimize(m, e, _neg_exp, small, box, returns=sample_returns(m, e, small)).x,
-        brute_force_optimize(m, e, _neg_exp, small, box).x,
-    )
 
 
 def test_cov_stderr_matches_products_reference(rng):
@@ -158,12 +137,9 @@ def test_grid_search_symmetric_instance():
         n=2, r_f=0.0, mu=[0.1, 0.1], gamma=[0.02, 0.02],
         a_matrix=[[0.2, 0.05], [0.05, 0.2]],
     )
+    cfg = McConfig(seed=3, paths=100_000, antithetic=True)
     x = brute_force_optimize(
-        m,
-        Constant(1.0),
-        _neg_exp,
-        McConfig(seed=3, paths=100_000, antithetic=True),
-        box=[(0.0, 1.0)] * 2,
+        m, sample_returns(m, Constant(1.0), cfg), _neg_exp, cfg, box=[(0.0, 1.0)] * 2
     ).x
     assert x[0] == pytest.approx(x[1], abs=1e-6)
     # the unconstrained optimum is about (1.9, 1.9): both bounds bind
@@ -195,7 +171,7 @@ def test_search_cost_is_not_exponential_in_n(monkeypatch):
     monkeypatch.setattr(mc_oracle, "crn_objective", counting)
     m, mix, box = _exp_market(6, 6)
     cfg = McConfig(seed=1, paths=2_000, antithetic=True)
-    brute_force_optimize(m, mix, _neg_exp, cfg, box=box)
+    brute_force_optimize(m, sample_returns(m, mix, cfg), _neg_exp, cfg, box=box)
     assert 0 < calls < 10_000
 
 
@@ -221,8 +197,9 @@ def _lattice_then_nelder_mead(objective, box):
 def test_search_matches_lattice_reference(n, seed):
     m, mix, box = _exp_market(100 * n + seed, n)
     cfg = McConfig(seed=seed, paths=5_000, antithetic=True)
-    objective = crn_objective(m, mix, _neg_exp_value, 1.0, cfg)
-    got = objective(brute_force_optimize(m, mix, _neg_exp, cfg, box=box).x)
+    returns = sample_returns(m, mix, cfg)
+    objective = crn_objective(m, returns, _neg_exp, 1.0, cfg)
+    got = objective(brute_force_optimize(m, returns, _neg_exp, cfg, box=box).x)
     want = objective(_lattice_then_nelder_mead(objective, box))
     assert got >= want - 1e-12 * abs(want)
 
@@ -232,9 +209,9 @@ def test_search_reaches_the_crn_maximum_as_n_grows(n):
     m, mix, box = _exp_market(n, n, sane_exp_market)
     cfg = McConfig(seed=n, paths=20_000, antithetic=True)
     returns = sample_returns(m, mix, cfg)
-    objective = crn_objective(m, mix, _neg_exp_value, 1.0, cfg, returns)
+    objective = crn_objective(m, returns, _neg_exp, 1.0, cfg)
     t0 = time.perf_counter()
-    res = brute_force_optimize(m, mix, _neg_exp, cfg, box=box, returns=returns)
+    res = brute_force_optimize(m, returns, _neg_exp, cfg, box=box)
     elapsed = time.perf_counter() - t0
     # the closed-form optimum x* is a feasible point of the same sample
     want = objective(exp_opt.optimize(m, mix).x_star)
@@ -254,7 +231,7 @@ def test_search_with_some_bounds_binding():
     box = [(-0.5 * abs(v), 0.5 * abs(v)) if i % 2 else (-5.0, 5.0) for i, v in enumerate(x_star)]
     cfg = McConfig(seed=5, paths=20_000, antithetic=True)
     returns = sample_returns(m, mix, cfg)
-    res = brute_force_optimize(m, mix, _neg_exp, cfg, box=box, returns=returns)
+    res = brute_force_optimize(m, returns, _neg_exp, cfg, box=box)
     assert res.status == "decrement"
     excess = returns - m.r_f
     g = excess.T @ np.exp(-(1.0 + m.r_f) - excess @ res.x) / excess.shape[0]
@@ -265,7 +242,7 @@ def test_search_with_some_bounds_binding():
     inside = ~(at_lo | at_hi)
     assert np.max(np.abs(g[inside])) <= 1e-4 * np.max(np.abs(g))
     # no feasible point of a bounded quasi-Newton search does better
-    objective = crn_objective(m, mix, _neg_exp_value, 1.0, cfg, returns)
+    objective = crn_objective(m, returns, _neg_exp, 1.0, cfg)
     ref = minimize(lambda x: -objective(x), np.zeros(6), method="L-BFGS-B", bounds=box)
     assert res.value >= -ref.fun - 1e-12 * abs(ref.fun)
 
@@ -276,12 +253,9 @@ def test_brute_force_recovers_gaussian_optimum():
         a_matrix=[[1.0, 0.0], [0.2, 0.9]],
     )
     want = np.linalg.solve(m.sigma, m.gamma + m.excess_mean)
+    cfg = McConfig(seed=7, paths=1_000_000, antithetic=True)
     got = brute_force_optimize(
-        m,
-        Constant(1.0),
-        _neg_exp,
-        McConfig(seed=7, paths=1_000_000, antithetic=True),
-        box=[(-2.0, 2.0)] * 2,
+        m, sample_returns(m, Constant(1.0), cfg), _neg_exp, cfg, box=[(-2.0, 2.0)] * 2
     ).x
     assert np.allclose(got, want, atol=1e-3)
 

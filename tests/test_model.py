@@ -186,8 +186,9 @@ def test_exp_mixing_matches_mc(rng):
     e = Exponential(1.0)
     pf = Portfolio(np.array([0.5, 0.3]), w0=1.0, a=1.0)
     exact = expected_exp_utility(m, e, pf)
+    cfg = mc_oracle.McConfig(seed=3, paths=1_000_000)
     est = mc_oracle.mc_expected_utility(
-        m, e, lambda w: -np.exp(-w), pf, mc_oracle.McConfig(seed=3, paths=1_000_000)
+        m, mc_oracle.sample_returns(m, e, cfg), lambda k, w: -((-1.0) ** k) * np.exp(-w), pf, cfg
     )
     assert est.within(exact, 3.0)
 

@@ -1,16 +1,15 @@
 """Brent's scalar methods, ported from scipy with the same arithmetic.
 
 ``exp_opt`` needs one bounded minimization and one bracketed root, a few
-dozen evaluations of a scalar function.  Importing ``scipy.optimize`` for
-them costs about 0.4 s, several hundred times the solve itself, so the two
-routines live here.  Each does scipy's floating-point operations in
-scipy's order, so it returns the same bits and makes the same number of
-evaluations:
+dozen evaluations of a scalar function.  Importing scipy's optimize
+package for them costs about 0.4 s, several hundred times the solve
+itself, so the two routines live here.  Each does scipy's floating-point
+operations in scipy's order, so it returns the same bits and makes the
+same number of evaluations:
 
-- ``minimize_bounded`` is ``minimize_scalar(method="bounded")``, from the
-  pure-Python ``scipy.optimize._optimize._minimize_scalar_bounded``;
-- ``brentq`` is ``scipy.optimize.brentq``, from scipy's C routine
-  ``Zeros/brentq.c``.
+- ``minimize_bounded`` is scipy's ``minimize_scalar(method="bounded")``,
+  from its pure-Python ``_minimize_scalar_bounded``;
+- ``brentq`` is scipy's ``brentq``, from its C routine ``Zeros/brentq.c``.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# general_opt is imported by the subcommand that uses it: it loads
-# scipy.optimize, which would add about 0.4 s to every start-up
+# general_opt is imported by the subcommand that uses it, and only there
 from . import exp_opt, large_market, mc_oracle
 from .errors import (
     DegenerateModelError,

@@ -17,13 +17,14 @@ y.gamma0 = phi |gamma0| rho, y.mu0 = psi |mu0| rho, |y| = rho.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._nelder_mead import minimize
 from .errors import InfeasiblePointError
 from .mixing import MixingDistribution
 from .model import MarketModel, TransformedModel
@@ -113,7 +114,8 @@ class UtilitySpec:
     @staticmethod
     def quadratic(b: float) -> "UtilitySpec":
         """U(w) = w - b w^2, b > 0.  Derivatives vanish beyond order 2,
-        so the moment expansion is exact at any order >= 2."""
+        so the moment expansion is exact at any order >= 2.  The constant
+        derivatives come as an array of w's shape for an array w."""
         if not b > 0:
             raise ValueError(f"quadratic utility requires b > 0, got {b}")
 
@@ -122,7 +124,8 @@ class UtilitySpec:
                 return w - b * (w * w)
             if k == 1:
                 return 1.0 - 2.0 * b * w
-            return -2.0 * b if k == 2 else 0.0
+            value = -2.0 * b if k == 2 else 0.0
+            return np.full(w.shape, value) if isinstance(w, np.ndarray) else value
 
         return UtilitySpec(partial(derivative, 0), derivative, None, "quadratic")
 
@@ -222,6 +225,10 @@ class ReducedDomain:
                 raise ValueError(f"{key} bounds {getattr(self, key)} outside [-1, 1]")
         if not self.rho[0] >= 0.0:
             raise ValueError(f"rho lower bound {self.rho[0]} must be >= 0")
+        for key in ("phi", "psi", "rho"):
+            low, high = getattr(self, key)
+            if low > high:
+                raise ValueError(f"{key} bounds {getattr(self, key)} have low > high")
 
     def contains(self, p: ReducedPoint, tol: float = 1e-12) -> bool:
         inside = (
@@ -391,6 +398,11 @@ def m_objective(
 # ---------------------------------------------------------------------------
 
 
+def _clip_cosine(v: float) -> float:
+    """min(1.0, max(-1.0, v)), NaN going to -1.0 as it does there."""
+    return (v if v < 1.0 else 1.0) if v > -1.0 else -1.0
+
+
 class _SpanBasis:
     """Orthonormal basis of span{gamma0, mu0} plus one deterministic
     orthogonal-complement direction (when the dimension allows one).
@@ -439,28 +451,27 @@ class _SpanBasis:
     def dim(self) -> int:
         return len(self.span) + (1 if self.perp is not None else 0)
 
-    def point_of(self, coords) -> ReducedPoint:
-        """Reduced point of y = sum coords_i basis_i, the complement
-        coordinate taken by its absolute value (always feasible)."""
-        c = [float(v) for v in coords]
+    def point_of(self, coords: list) -> ReducedPoint:
+        """Reduced point of y = sum coords_i basis_i (a list of floats), the
+        complement coordinate taken by its absolute value (always feasible)."""
         if self.perp is not None:
-            c[-1] = abs(c[-1])
-        rho = math.hypot(*c)
+            coords = [*coords[:-1], abs(coords[-1])]
+        rho = math.hypot(*coords)
         if rho == 0.0:
             return ReducedPoint(0.0, 0.0, 0.0)
-        phi = c[0] / rho if self.g_norm > _SPAN_TOL else 0.0
-        psi = sum(m * v for m, v in zip(self.mu_hat, c)) / rho if self.mu_hat else 0.0
-        return ReducedPoint(min(1.0, max(-1.0, phi)), min(1.0, max(-1.0, psi)), rho)
+        phi = coords[0] / rho if self.g_norm > _SPAN_TOL else 0.0
+        psi = sum(map(operator.mul, self.mu_hat, coords)) / rho if self.mu_hat else 0.0
+        return ReducedPoint(_clip_cosine(phi), _clip_cosine(psi), rho)
 
-    def coords_of_y(self, y: np.ndarray) -> np.ndarray:
+    def coords_of_y(self, y: np.ndarray) -> list:
         """Span coordinates of y, with the norm of its out-of-span part as
         the complement coordinate."""
         k = len(self.span)
         span_c = self.axes[:k] @ y
         if self.perp is None:
-            return span_c
+            return span_c.tolist()
         rest = float(np.linalg.norm(y - span_c @ self.axes[:k]))
-        return np.append(span_c, rest)
+        return [*span_c.tolist(), rest]
 
     def lift(self, phi: float, psi: float, rho: float) -> tuple[np.ndarray, float]:
         """Span coordinates c of the shortest y with y.gamma0-hat = phi rho
@@ -522,12 +533,17 @@ class _BallMap:
     def reach(self, d0: float) -> float:
         """Distance from the star to the boundary of K along a unit vector
         whose first component is d0."""
-        return min(
-            -off * d0 + math.sqrt(max(0.0, (off * d0) ** 2 + slack)) for off, slack in self._balls
-        )
+        best = None
+        for off, slack in self._balls:
+            t = off * d0
+            q = t**2 + slack
+            r = -t + math.sqrt(q if q > 0.0 else 0.0)
+            if best is None or r < best:
+                best = r
+        return best
 
-    def coords(self, u) -> list:
-        u = [float(v) for v in u]
+    def coords(self, u: list) -> list:
+        """Span coordinates of u, a list of floats."""
         size = math.hypot(*u)
         c = [0.0] * self.dim
         if size > 0.0:
@@ -536,19 +552,19 @@ class _BallMap:
         c[0] += self.star
         return c
 
-    def unconstrained(self, coords) -> np.ndarray | None:
+    def unconstrained(self, coords) -> list | None:
         """A u mapping to ``coords`` (pulled in to _SEED_REACH of the way to
         the boundary); None when ``coords`` lies outside K."""
         v = np.array(coords, dtype=float)
         v[0] -= self.star
         size = math.hypot(*v)
         if size == 0.0:
-            return v
+            return v.tolist()
         reach = self.reach(v[0] / size)
         if size > reach * (1.0 + 1e-9):
             return None
         t = min(size / ((1.0 - _EDGE) * reach), _SEED_REACH)
-        return v * (math.atanh(t) / size)
+        return (v * (math.atanh(t) / size)).tolist()
 
 
 def optimize_3d(
@@ -621,15 +637,7 @@ def optimize_3d(
             break
         for _ in range(2):  # restart once to tighten the simplex
             res = minimize(
-                lambda u: -objective(u),
-                start,
-                method="Nelder-Mead",
-                options={
-                    "xatol": 1e-11,
-                    "fatol": 1e-13,
-                    "maxiter": 4000,
-                    "maxfev": 8000,
-                },
+                lambda u: -objective(u), start, xatol=1e-11, fatol=1e-13, maxiter=4000, maxfev=8000
             )
             start = res.x
         v = objective(start)

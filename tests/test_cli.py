@@ -175,6 +175,20 @@ def test_exp_opt_matches_golden_file(tmp_path):
     assert out.read_bytes() == (GOLDEN / "exp1_out.json").read_bytes()
 
 
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("utility", ["exponential", "quadratic:0.3", "log", "power:2", "power:0.5"])
+@pytest.mark.parametrize("spec", ["exp1", "gig", "gaussian"])
+def test_general_opt_matches_golden_file(tmp_path, spec, utility, order):
+    # a search that visits other points changes these bytes: regenerate a
+    # file only with a change that means to move the result
+    out = tmp_path / "out.json"
+    argv = ["general-opt", "--spec", str(SPECS / f"{spec}.json"), "--out", str(out),
+            "--order", str(order), "--utility", utility]
+    assert main(argv) == 0
+    golden = GOLDEN / "general_opt" / f"{spec}_{utility.replace(':', '-')}_{order}.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_exp_opt_c_interval_domain(tmp_path):
     spec = base_spec()
     spec["domain"] = {"c_interval": [0.0, 0.01]}
@@ -629,6 +643,20 @@ def test_mc_verify_loads_no_scipy_optimize(tmp_path):
     exp_opt = _fresh_python(_main_calls(["exp-opt"] + gig) + _SCIPY_MODULES)
     assert "'scipy.special'" in mc_verify
     assert mc_verify.splitlines()[-1] == exp_opt.splitlines()[-1]
+
+
+def test_general_opt_loads_no_scipy_optimize(tmp_path):
+    def loaded(spec):
+        argv = ["general-opt", "--spec", str(SPECS / f"{spec}.json"), "--out", str(tmp_path / f"{spec}.json")]
+        return _fresh_python(_main_calls(argv) + _SCIPY_MODULES).splitlines()[-1]
+
+    for spec in ("exp1", "gig"):
+        assert "scipy.optimize" not in loaded(spec)
+    # on a constant law nothing needs scipy at all
+    assert loaded("gaussian") == "[]"
+    # and no source file names it
+    sources = sorted((REPO / "src").rglob("*.py"))
+    assert sources and not [p.name for p in sources if "scipy.optimize" in p.read_text()]
 
 
 @pytest.mark.parametrize("spec", ["gaussian", "gig", "exp1"])

@@ -60,6 +60,13 @@ def test_quadratic_higher_derivatives_vanish():
     q = UtilitySpec.quadratic(0.3)
     for k in (3, 4, 7):
         assert q.derivative(k, 1.7) == 0.0
+    # the constant derivatives take the shape of an array w; a float stays
+    # a float, so the search's arithmetic is unchanged
+    w = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
+    for k, want in ((2, -0.6), (3, 0.0)):
+        got = q.derivative(k, w)
+        assert isinstance(got, np.ndarray) and got.shape == w.shape and np.all(got == want)
+        assert type(q.derivative(k, 1.7)) is float
 
 
 def test_custom_utility_derivative_mismatch_rejected():
@@ -116,7 +123,11 @@ def test_reduced_point_validation():
 
 @pytest.mark.parametrize(
     "box,key",
-    [({"phi": (-2.0, 2.0)}, "phi"), ({"psi": (0.9, 1.5)}, "psi"), ({"rho": (-1.0, 2.0)}, "rho")],
+    [
+        ({"phi": (-2.0, 2.0)}, "phi"), ({"psi": (0.9, 1.5)}, "psi"), ({"rho": (-1.0, 2.0)}, "rho"),
+        # reversed bounds, which library callers can pass
+        ({"phi": (0.5, -0.5)}, "phi"), ({"psi": (0.5, -0.5)}, "psi"), ({"rho": (2.0, 0.5)}, "rho"),
+    ],
 )
 def test_reduced_domain_validation(box, key):
     with pytest.raises(ValueError, match=key):
@@ -612,3 +623,60 @@ def test_optimize_3d_not_improved_by_random_feasible_probes(rng, spec, kind):
         if math.isfinite(v):
             tries += 1
             assert v <= best + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Nelder-Mead port against scipy's
+# ---------------------------------------------------------------------------
+
+
+def _bowl(centre, weights):
+    def f(x):
+        return sum(w * (float(v) - c) ** 2 for v, c, w in zip(x, centre, weights))
+
+    return f
+
+
+def _plateau(centre, weights):
+    # +inf beyond a wall just past the minimum: reflections land on ties
+    bowl = _bowl(centre, weights)
+    return lambda x: math.inf if float(x[0]) > centre[0] + 0.05 else bowl(x)
+
+
+def _terraced(centre, weights):
+    # rounded values: distinct points often score exactly the same
+    bowl = _bowl(centre, weights)
+    return lambda x: round(bowl(x), 2)
+
+
+def _port_equivalence_cases():
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for dim in (1, 2, 3):
+        for make in (_bowl, _plateau, _terraced):
+            for k in range(3):
+                centre = rng.normal(size=dim).tolist()
+                weights = rng.uniform(0.5, 3.0, dim).tolist()
+                x0 = rng.normal(size=dim)
+                x0[rng.random(dim) < 0.3] = 0.0  # zero coordinates take scipy's 0.00025 step
+                cases.append(pytest.param(make(centre, weights), x0, {}, id=f"{make.__name__[1:]}-{dim}d-{k}"))
+    # exactly equal values at distinct points from the first simplex on
+    cases.append(pytest.param(_bowl([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), np.zeros(3), {}, id="ties-3d"))
+    cases.append(pytest.param(_bowl([1.0, -2.0], [1.0, 1.0]), np.zeros(2), {}, id="ties-2d"))
+    # a binding maxfev (status 1), here in the middle of an iteration
+    cases.append(pytest.param(_bowl([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), np.zeros(3), {"maxfev": 37}, id="maxfev"))
+    # a binding maxiter (status 2)
+    cases.append(pytest.param(_bowl([1.0, 2.0], [1.0, 5.0]), np.array([0.3, 0.0]), {"maxiter": 15}, id="maxiter"))
+    return cases
+
+
+@pytest.mark.parametrize("fun,x0,caps", _port_equivalence_cases())
+def test_nelder_mead_port_takes_scipys_steps(fun, x0, caps):
+    options = {"xatol": 1e-11, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000, **caps}
+    with np.errstate(invalid="ignore"):  # scipy's test computes inf - inf on a plateau
+        want = sp_minimize(fun, x0, method="Nelder-Mead", options=options)
+    got = general_opt.minimize(fun, x0, **options)
+    assert np.array(got.x).tobytes() == want.x.tobytes()
+    assert (got.nfev, got.nit, got.status) == (want.nfev, want.nit, want.status)
+    if caps:
+        assert got.status == (1 if "maxfev" in caps else 2)

@@ -264,3 +264,20 @@ def test_estimate_within_helper():
     e = McEstimate(1.0, 0.1)
     assert e.within(1.25, 3.0)
     assert not e.within(1.5, 3.0)
+
+
+def test_brute_force_with_quadratic_utility_derivatives():
+    # U(w) = w - b w^2: the CRN objective is quadratic in x, so its maximum
+    # solves mean((1 - 2 b W) (R - r_f)) = 0 exactly and Newton lands on it
+    from nmvmopt.general_opt import UtilitySpec
+
+    b, w0 = 0.3, 1.0
+    m = random_spd_market(np.random.default_rng(8), 2)
+    cfg = McConfig(seed=3, paths=4_000, antithetic=True)
+    returns = sample_returns(m, Constant(1.0), cfg)
+    res = brute_force_optimize(m, returns, UtilitySpec.quadratic(b).derivative, cfg, box=[(-20.0, 20.0)] * 2, w0=w0)
+    excess = returns - m.r_f
+    c = w0 * (1.0 + m.r_f)
+    want = (1.0 - 2.0 * b * c) / (2.0 * b * w0) * np.linalg.solve(excess.T @ excess, excess.sum(axis=0))
+    assert res.status == "decrement"
+    assert np.allclose(res.x, want, rtol=1e-9, atol=1e-12)

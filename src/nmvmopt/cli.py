@@ -445,7 +445,6 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
     if paths < 3:  # one antithetic pair leaves no spread for the covariance SE
         raise ValueError(f"--paths must be at least 3, got {paths}")
     _, model, mix, a, w0 = _load_market(spec_path)
-    cfg = mc_oracle.McConfig(seed=seed, paths=paths, antithetic=True)
     report = []
     ok = True
 
@@ -454,7 +453,7 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
         ok = ok and passed
         report.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
-    returns = mc_oracle.sample_returns(model, mix, cfg)
+    returns = mc_oracle.sample_returns(model, mix, paths, seed)
     ez, vz = mix.mean, mix.variance
     mean_th = model.mu + model.gamma * ez
     dev = returns.mean(axis=0) - mean_th
@@ -472,7 +471,7 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
     def utility(k, w):
         return -((-a) ** k) * np.exp(-a * w)
 
-    est = mc_oracle.mc_expected_utility(model, returns, utility, Portfolio(res.x_star, w0, a), cfg)
+    est = mc_oracle.mc_expected_utility(model, returns, utility, res.x_star, w0)
     zu = abs(est.estimate - res.optimal_utility) / est.stderr
     check(
         "closed-form-utility",
@@ -482,7 +481,7 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
 
     span = float(np.max(np.abs(res.x_star))) * 2.0 + 1.0
     search = mc_oracle.brute_force_optimize(
-        model, returns, utility, cfg, box=[(-span, span)] * model.n, w0=w0
+        model, returns, utility, box=[(-span, span)] * model.n, w0=w0
     )
     # the CRN objective averages the same antithetic sample as ``est``, so
     # crn(x*) is est.estimate to the bit

@@ -116,21 +116,16 @@ def _minimize_on_interval(log_h, stationarity, lo: float, hi: float):
     """
     if lo == hi:  # a point domain: nothing to search
         return lo, log_h(lo), 1
-    evals = 0
-
-    def f(t):
-        nonlocal evals
-        evals += 1
-        return log_h(t)
-
     grid = np.linspace(lo, hi, _GRID_POINTS)
-    vals = np.array([f(t) for t in grid])
+    vals = np.array([log_h(t) for t in grid])
+    evals = _GRID_POINTS
     i = int(np.argmin(vals))
     best_t, best_v = float(grid[i]), float(vals[i])
     best_bracket = (lo, hi)
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)]
     if b - a > _XATOL:
-        t, v, _ = minimize_bounded(f, a, b, xatol=_XATOL, maxiter=500)
+        t, v, brent_evals = minimize_bounded(log_h, a, b, xatol=_XATOL, maxiter=500)
+        evals += brent_evals
         if v < best_v:
             best_t, best_v = t, v
             best_bracket = (float(a), float(b))

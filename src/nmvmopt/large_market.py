@@ -195,7 +195,6 @@ def segment_scalars(spec: LargeMarketSpec, n: int) -> TransformedModel:
         b_scalar=float(gamma_p @ mu_p),
         c_scalar=float(mu_p @ mu_p),
         theta0=math.inf,  # bounded support => s0 = -inf
-        s0=-math.inf,
     )
 
 

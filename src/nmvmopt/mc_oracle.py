@@ -2,10 +2,12 @@
 
 Samples the NMVM return vector directly from its definition
 X = mu + gamma Z + sqrt(Z) A N and estimates expected utility empirically.
-Everything is driven by a Philox (counter-based) generator pinned per seed,
-so estimates are bit-reproducible, and the common-random-numbers objective
-used by the brute-force optimizer is a deterministic function of the
-portfolio.
+Every sample is antithetic: row i and row i + rows/2 share z and have
+opposite normal draws, and the estimators average each such pair before
+anything else.  Everything is driven by a Philox (counter-based) generator
+pinned per seed, so estimates are bit-reproducible, and the
+common-random-numbers objective used by the brute-force optimizer is a
+deterministic function of the portfolio.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixing import MixingDistribution
-from .model import MarketModel, Portfolio
+from .model import MarketModel
 
 __all__ = [
-    "McConfig",
     "McEstimate",
     "sample_returns",
     "mc_expected_utility",
@@ -29,17 +30,6 @@ __all__ = [
     "block_mean",
     "cov_stderr",
 ]
-
-
-@dataclass(frozen=True)
-class McConfig:
-    seed: int = 0
-    paths: int = 100_000
-    antithetic: bool = False
-
-    def __post_init__(self):
-        if self.paths < 1:
-            raise ValueError(f"paths={self.paths} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,29 +70,23 @@ def cov_stderr(returns: np.ndarray) -> np.ndarray:
     return np.sqrt((sq.T @ sq / paths - (c.T @ c / paths) ** 2) / (paths - 1))
 
 
-def _streams(cfg: McConfig) -> tuple[np.random.Generator, np.random.Generator]:
-    root = np.random.Philox(key=cfg.seed)
-    return np.random.Generator(root), np.random.Generator(root.jumped(1))
-
-
-def _draw(model: MarketModel, mix: MixingDistribution, cfg: McConfig):
-    """(z, g) draws; antithetic pairs the normal block with its negation."""
-    normal_rng, mix_rng = _streams(cfg)
-    if cfg.antithetic:
-        half = (cfg.paths + 1) // 2
-        g0 = normal_rng.standard_normal((half, model.n))
-        z0 = mix.sample(half, rng=mix_rng)
-        return np.concatenate([z0, z0]), np.vstack([g0, -g0])
-    g = normal_rng.standard_normal((cfg.paths, model.n))
-    z = mix.sample(cfg.paths, rng=mix_rng)
-    return z, g
-
-
 def sample_returns(
-    model: MarketModel, mix: MixingDistribution, cfg: McConfig
+    model: MarketModel, mix: MixingDistribution, paths: int, seed: int
 ) -> np.ndarray:
-    """paths x n matrix of return draws mu + gamma z + sqrt(z) A g."""
-    z, g = _draw(model, mix, cfg)
+    """2 ceil(paths/2) x n matrix of return draws mu + gamma z + sqrt(z) A g.
+
+    Antithetic: the first half of the rows draws (z, g) and the second
+    half repeats z with -g.  The normals come from a Philox stream keyed
+    by ``seed``, the mixing draws from that stream jumped once.
+    """
+    if paths < 1:
+        raise ValueError(f"paths={paths} must be >= 1")
+    root = np.random.Philox(key=seed)
+    normal_rng, mix_rng = np.random.Generator(root), np.random.Generator(root.jumped(1))
+    half = (paths + 1) // 2
+    g0 = normal_rng.standard_normal((half, model.n))
+    z0 = mix.sample(half, rng=mix_rng)
+    z, g = np.concatenate([z0, z0]), np.vstack([g0, -g0])
     return (
         model.mu[None, :]
         + model.gamma[None, :] * z[:, None]
@@ -114,55 +98,47 @@ def _wealth(model: MarketModel, returns: np.ndarray, x: np.ndarray, w0: float):
     return w0 * (1.0 + model.r_f) + w0 * ((returns - model.r_f) @ x)
 
 
+def _pair_means(model: MarketModel, returns: np.ndarray, utility, x, w0: float):
+    """U(W(x)) per draw, and the mean of each antithetic pair of draws
+    (row i with row i + rows/2)."""
+    vals = utility(0, _wealth(model, returns, np.asarray(x, dtype=float), w0))
+    vals = np.asarray(vals, dtype=float)
+    half = vals.size // 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        return vals, 0.5 * (vals[:half] + vals[half : 2 * half])
+
+
 def mc_expected_utility(
-    model: MarketModel,
-    returns: np.ndarray,
-    utility,
-    portfolio: Portfolio,
-    cfg: McConfig,
+    model: MarketModel, returns: np.ndarray, utility, x, w0: float
 ) -> McEstimate:
     """Empirical E[U(W(x))] with standard error over ``returns``, the
-    sample ``sample_returns(model, mix, cfg)``.
+    sample ``sample_returns(model, mix, paths, seed)``, from the means of
+    its antithetic pairs.
 
     ``utility(k, w)`` is U^(k)(w), as ``UtilitySpec.derivative``; only
     k = 0 is used here.  Non-finite draws (such as log utility hit by
     nonpositive wealth) propagate into the estimate and are counted.
     """
-    vals = utility(0, _wealth(model, returns, portfolio.x, portfolio.w0))
-    vals = np.asarray(vals, dtype=float)
-    n_bad = int(np.size(vals) - np.count_nonzero(np.isfinite(vals)))
+    vals, pair = _pair_means(model, returns, utility, x, w0)
+    n_bad = int(vals.size - np.count_nonzero(np.isfinite(vals)))
     with np.errstate(invalid="ignore", over="ignore"):
-        if cfg.antithetic:
-            half = vals.size // 2
-            pair = 0.5 * (vals[:half] + vals[half : 2 * half])
-            est = block_mean(pair)
-            se = float(np.std(pair, ddof=1) / math.sqrt(pair.size)) if pair.size > 1 else 0.0
-        else:
-            est = block_mean(vals)
-            se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+        est = block_mean(pair)
+        se = float(np.std(pair, ddof=1) / math.sqrt(pair.size)) if pair.size > 1 else 0.0
     return McEstimate(estimate=est, stderr=se, n_nonfinite=n_bad)
 
 
-def crn_objective(
-    model: MarketModel,
-    returns: np.ndarray,
-    utility,
-    w0: float,
-    cfg: McConfig,
-):
+def crn_objective(model: MarketModel, returns: np.ndarray, utility, w0: float):
     """Deterministic common-random-numbers objective x -> estimated E[U(W)].
 
     Every probe portfolio shares the one sample ``returns`` (see
     ``mc_expected_utility``, also for ``utility``), so the surrogate is a
-    smooth deterministic function suitable for argmax comparisons.
+    smooth deterministic function suitable for argmax comparisons; its
+    value at x is ``mc_expected_utility(model, returns, utility, x, w0)``'s
+    estimate to the bit.
     """
-    half = returns.shape[0] // 2 if cfg.antithetic else None
 
     def objective(x: np.ndarray) -> float:
-        vals = utility(0, _wealth(model, returns, np.asarray(x, dtype=float), w0))
-        if half is not None:
-            vals = 0.5 * (vals[:half] + vals[half : 2 * half])
-        return block_mean(vals)
+        return block_mean(_pair_means(model, returns, utility, x, w0)[1])
 
     return objective
 
@@ -195,7 +171,6 @@ def brute_force_optimize(
     model: MarketModel,
     returns: np.ndarray,
     utility,
-    cfg: McConfig,
     box,
     w0: float = 1.0,
 ) -> SearchResult:
@@ -216,7 +191,7 @@ def brute_force_optimize(
     for a fixed sample.
     """
     lo, hi = np.array(box, dtype=float).reshape(model.n, 2).T
-    objective = crn_objective(model, returns, utility, w0, cfg)
+    objective = crn_objective(model, returns, utility, w0)
     excess = returns - model.r_f
     x = 0.5 * (lo + hi)
     f = objective(x)

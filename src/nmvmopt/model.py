@@ -86,7 +86,6 @@ class TransformedModel:
     b_scalar: float
     c_scalar: float
     theta0: float
-    s0: float
 
     def __post_init__(self):
         if self.b_scalar**2 > self.a_scalar * self.c_scalar * (1 + 1e-8) + 1e-12:
@@ -120,8 +119,7 @@ class TransformedModel:
             if b_scalar != 0:
                 raise ValueError("b_scalar must be 0 when c_scalar is 0")
             gamma0 = np.array([0.0, math.sqrt(a_scalar)])
-        theta0 = _theta0(a_scalar, c_scalar, s0)
-        return cls(mu0, gamma0, a_scalar, b_scalar, c_scalar, theta0, s0)
+        return cls(mu0, gamma0, a_scalar, b_scalar, c_scalar, _theta0(a_scalar, c_scalar, s0))
 
 
 @dataclass(frozen=True)
@@ -158,15 +156,13 @@ def transform(model: MarketModel, mix: MixingDistribution) -> TransformedModel:
     a_scalar = float(gamma0 @ gamma0)
     c_scalar = float(mu0 @ mu0)
     b_scalar = float(gamma0 @ mu0)
-    s0 = mix.s_lower_bound
     return TransformedModel(
         mu0=mu0,
         gamma0=gamma0,
         a_scalar=a_scalar,
         b_scalar=b_scalar,
         c_scalar=c_scalar,
-        theta0=_theta0(a_scalar, c_scalar, s0),
-        s0=s0,
+        theta0=_theta0(a_scalar, c_scalar, mix.s_lower_bound),
     )
 
 

@@ -92,17 +92,16 @@ def test_criterion_02_exp1_example():
     m = sane_exp_market(np.random.default_rng(203), 2, vol=1.0)
     a, w0 = 1.0, 1.0
     res = optimize(m, e, a=a, w0=w0)
-    cfg = mc_oracle.McConfig(seed=204, paths=1_000_000, antithetic=True)
     span = 2.0 * float(np.max(np.abs(res.x_star))) + 0.5
-    returns = mc_oracle.sample_returns(m, e, cfg)
+    returns = mc_oracle.sample_returns(m, e, 1_000_000, 204)
 
     def utility(k, w):
         return -((-a) ** k) * np.exp(-a * w)
 
     x_bf = mc_oracle.brute_force_optimize(
-        m, returns, utility, cfg, box=[(-span, span)] * 2, w0=w0
+        m, returns, utility, box=[(-span, span)] * 2, w0=w0
     ).x
-    est = mc_oracle.mc_expected_utility(m, returns, utility, Portfolio(x_bf, w0, a), cfg)
+    est = mc_oracle.mc_expected_utility(m, returns, utility, x_bf, w0)
     closed = -math.exp(-a * w0 * (1.0 + m.r_f) + log_g_min(res.transformed, e, res.q_min))
     z = abs(est.estimate - closed) / est.stderr
     assert z < 3.0

@@ -175,6 +175,30 @@ def test_exp_opt_matches_golden_file(tmp_path):
     assert out.read_bytes() == (GOLDEN / "exp1_out.json").read_bytes()
 
 
+@pytest.mark.parametrize("spec", ["gig", "gaussian"])
+def test_exp_opt_matches_golden_file_on_other_laws(tmp_path, spec):
+    out = tmp_path / "out.json"
+    assert main(["exp-opt", "--spec", str(SPECS / f"{spec}.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{spec}_out.json").read_bytes()
+
+
+@pytest.mark.parametrize("spec", ["exp1", "gig", "gaussian"])
+def test_mc_verify_matches_golden_file(tmp_path, spec, capsys):
+    # the report is a fixed function of the spec, the path count and the seed
+    out = tmp_path / "report.txt"
+    argv = ["mc-verify", "--spec", str(SPECS / f"{spec}.json"), "--out", str(out), "--paths", "20000"]
+    assert main(argv) == 0
+    golden = (GOLDEN / "mc_verify" / f"{spec}_20000.txt").read_bytes()
+    assert out.read_bytes() == golden
+    assert capsys.readouterr().out.encode() == golden
+
+
+def test_large_market_matches_golden_file(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["large-market", "--spec", str(SPECS / "large_market.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "large_market_out.csv").read_bytes()
+
+
 @pytest.mark.parametrize("order", [4, 6])
 @pytest.mark.parametrize("utility", ["exponential", "quadratic:0.3", "log", "power:2", "power:0.5"])
 @pytest.mark.parametrize("spec", ["exp1", "gig", "gaussian"])
@@ -376,6 +400,20 @@ def test_general_opt_silent_under_warnings_as_errors(tmp_path, spec, order, util
         [sys.executable, "-W", "error", "-m", "nmvmopt", "general-opt",
          "--spec", str(SPECS / f"{spec}.json"), "--out", str(tmp_path / "out.json"),
          "--order", str(order), "--utility", utility],
+        capture_output=True, text=True, cwd=str(REPO),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("exp-opt", "gaussian"), ("exp-opt", "gig"), ("exp-opt", "exp1"),
+    ("large-market", "large_market"),
+])
+def test_exp_opt_and_large_market_silent_under_warnings_as_errors(tmp_path, command, spec):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nmvmopt", command,
+         "--spec", str(SPECS / f"{spec}.json"), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, cwd=str(REPO),
     )
     assert proc.returncode == 0, proc.stderr

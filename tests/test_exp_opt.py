@@ -452,17 +452,16 @@ def test_exp1_instance_against_crn_brute_force(rng):
     m = sane_exp_market(rng, 2, vol=1.0)
     e = Exponential(1.0)
     res = optimize(m, e, a=1.0, w0=1.0)
-    cfg = mc_oracle.McConfig(seed=31, paths=400_000, antithetic=True)
-    returns = mc_oracle.sample_returns(m, e, cfg)
+    returns = mc_oracle.sample_returns(m, e, 400_000, 31)
 
     def utility(k, w):
         return -((-1.0) ** k) * np.exp(-w)
 
-    est = mc_oracle.mc_expected_utility(m, returns, utility, Portfolio(res.x_star, 1.0, 1.0), cfg)
+    est = mc_oracle.mc_expected_utility(m, returns, utility, res.x_star, 1.0)
     assert est.within(res.optimal_utility, 3.0)
     span = float(np.max(np.abs(res.x_star))) * 2 + 0.5
-    x_bf = mc_oracle.brute_force_optimize(m, returns, utility, cfg, box=[(-span, span)] * 2).x
-    obj = mc_oracle.crn_objective(m, returns, utility, 1.0, cfg)
+    x_bf = mc_oracle.brute_force_optimize(m, returns, utility, box=[(-span, span)] * 2).x
+    obj = mc_oracle.crn_objective(m, returns, utility, 1.0)
     assert obj(res.x_star) >= obj(x_bf) - 3.0 * est.stderr
 
 

@@ -283,9 +283,8 @@ def test_m_objective_quadratic_matches_mc(rng):
     x = rng.normal(0.0, 0.4, 3)
     p = reduce_portfolio(x, tm, m)
     val = m_objective(p, u, 4, tm, MomentTable.build(e, 4), 1.0, m.r_f)
-    cfg = mc_oracle.McConfig(seed=21, paths=2_000_000)
     est = mc_oracle.mc_expected_utility(
-        m, mc_oracle.sample_returns(m, e, cfg), u.derivative, Portfolio(x), cfg
+        m, mc_oracle.sample_returns(m, e, 2_000_000, 21), u.derivative, x, 1.0
     )
     assert est.within(val, 3.0)
 

@@ -9,9 +9,8 @@ from scipy.optimize import minimize
 from conftest import random_spd_market, sane_exp_market
 from nmvmopt import exp_opt, mc_oracle
 from nmvmopt.mixing import Constant, Exponential
-from nmvmopt.model import MarketModel, Portfolio
+from nmvmopt.model import MarketModel
 from nmvmopt.mc_oracle import (
-    McConfig,
     McEstimate,
     block_mean,
     brute_force_optimize,
@@ -27,9 +26,10 @@ def _neg_exp(k, w):
     return -((-1.0) ** k) * np.exp(-w)
 
 
-def test_config_validation():
+def test_sample_returns_rejects_zero_paths():
+    m = MarketModel(n=1, r_f=0.0, mu=[0.1], gamma=[0.0], a_matrix=[[1.0]])
     with pytest.raises(ValueError):
-        McConfig(paths=0)
+        sample_returns(m, Constant(1.0), 0, 0)
 
 
 def test_block_mean_matches_numpy(rng):
@@ -41,18 +41,17 @@ def test_block_mean_matches_numpy(rng):
 
 def test_sample_returns_shape_and_determinism(rng):
     m = random_spd_market(rng, 3)
-    cfg = McConfig(seed=5, paths=1000)
-    a = sample_returns(m, Exponential(1.0), cfg)
-    b = sample_returns(m, Exponential(1.0), cfg)
+    a = sample_returns(m, Exponential(1.0), 1000, 5)
+    b = sample_returns(m, Exponential(1.0), 1000, 5)
     assert a.shape == (1000, 3)
     assert np.array_equal(a, b)
-    c = sample_returns(m, Exponential(1.0), McConfig(seed=6, paths=1000))
+    c = sample_returns(m, Exponential(1.0), 1000, 6)
     assert not np.array_equal(a, c)
 
 
 def test_constant_mixing_rows(rng):
     m = random_spd_market(rng, 2)
-    x = sample_returns(m, Constant(1.0), McConfig(seed=1, paths=50_000))
+    x = sample_returns(m, Constant(1.0), 50_000, 1)
     # E X = mu + gamma, Cov = Sigma
     se = x.std(axis=0) / math.sqrt(50_000)
     assert np.all(np.abs(x.mean(axis=0) - (m.mu + m.gamma)) < 4 * se)
@@ -61,7 +60,7 @@ def test_constant_mixing_rows(rng):
 def test_sample_mean_and_covariance_identities(rng):
     m = random_spd_market(rng, 3)
     e = Exponential(1.0)
-    x = sample_returns(m, e, McConfig(seed=2, paths=400_000))
+    x = sample_returns(m, e, 400_000, 2)
     mean_th = m.mu + m.gamma * e.mean
     se = x.std(axis=0) / math.sqrt(x.shape[0])
     assert np.all(np.abs(x.mean(axis=0) - mean_th) < 4 * se)
@@ -75,13 +74,8 @@ def test_sample_mean_and_covariance_identities(rng):
 
 def test_zero_portfolio_exact():
     m = MarketModel(n=2, r_f=0.03, mu=[0.1, 0.1], gamma=[0.0, 0.0], a_matrix=np.eye(2))
-    cfg = McConfig(seed=9, paths=1000)
     est = mc_expected_utility(
-        m,
-        sample_returns(m, Exponential(1.0), cfg),
-        _neg_exp,
-        Portfolio(np.zeros(2), w0=2.0),
-        cfg,
+        m, sample_returns(m, Exponential(1.0), 1000, 9), _neg_exp, np.zeros(2), 2.0
     )
     assert est.estimate == pytest.approx(-math.exp(-2.06), rel=1e-14)
     assert est.stderr == 0.0
@@ -89,41 +83,28 @@ def test_zero_portfolio_exact():
 
 def test_nonfinite_draws_counted(rng):
     m = random_spd_market(rng, 2)
-    cfg = McConfig(seed=4, paths=10_000)
     est = mc_expected_utility(
         m,
-        sample_returns(m, Constant(1.0), cfg),
+        sample_returns(m, Constant(1.0), 10_000, 4),
         lambda k, w: np.where(w > 1.0, np.log(np.where(w > 1.0, w, 1.0)), -np.inf),
-        Portfolio(np.array([3.0, 3.0])),
-        cfg,
+        np.array([3.0, 3.0]),
+        1.0,
     )
     assert est.n_nonfinite > 0
     assert est.estimate == -math.inf
 
 
-def test_antithetic_reduces_stderr(rng):
-    m = random_spd_market(rng, 2)
-    e = Exponential(1.0)
-    pf = Portfolio(np.array([0.4, 0.2]))
-    cfg = McConfig(seed=11, paths=200_000)
-    plain = mc_expected_utility(m, sample_returns(m, e, cfg), _neg_exp, pf, cfg)
-    cfg = McConfig(seed=11, paths=200_000, antithetic=True)
-    anti = mc_expected_utility(m, sample_returns(m, e, cfg), _neg_exp, pf, cfg)
-    assert anti.stderr < plain.stderr
-
-
 def test_crn_bit_reproducible(rng):
     m = random_spd_market(rng, 2)
     e = Exponential(1.0)
-    cfg = McConfig(seed=1, paths=50_000)
-    o1 = crn_objective(m, sample_returns(m, e, cfg), _neg_exp, 1.0, cfg)
-    o2 = crn_objective(m, sample_returns(m, e, cfg), _neg_exp, 1.0, cfg)
+    o1 = crn_objective(m, sample_returns(m, e, 50_000, 1), _neg_exp, 1.0)
+    o2 = crn_objective(m, sample_returns(m, e, 50_000, 1), _neg_exp, 1.0)
     x = np.array([0.3, -0.2])
     assert o1(x) == o2(x)
 
 
 def test_cov_stderr_matches_products_reference(rng):
-    x = sample_returns(random_spd_market(rng, 4), Exponential(1.0), McConfig(seed=8, paths=20_000))
+    x = sample_returns(random_spd_market(rng, 4), Exponential(1.0), 20_000, 8)
     # reference: standard error of the mean of each paths x n x n product
     centered = x - x.mean(axis=0)
     prods = centered[:, :, None] * centered[:, None, :]
@@ -137,9 +118,8 @@ def test_grid_search_symmetric_instance():
         n=2, r_f=0.0, mu=[0.1, 0.1], gamma=[0.02, 0.02],
         a_matrix=[[0.2, 0.05], [0.05, 0.2]],
     )
-    cfg = McConfig(seed=3, paths=100_000, antithetic=True)
     x = brute_force_optimize(
-        m, sample_returns(m, Constant(1.0), cfg), _neg_exp, cfg, box=[(0.0, 1.0)] * 2
+        m, sample_returns(m, Constant(1.0), 100_000, 3), _neg_exp, box=[(0.0, 1.0)] * 2
     ).x
     assert x[0] == pytest.approx(x[1], abs=1e-6)
     # the unconstrained optimum is about (1.9, 1.9): both bounds bind
@@ -170,8 +150,7 @@ def test_search_cost_is_not_exponential_in_n(monkeypatch):
 
     monkeypatch.setattr(mc_oracle, "crn_objective", counting)
     m, mix, box = _exp_market(6, 6)
-    cfg = McConfig(seed=1, paths=2_000, antithetic=True)
-    brute_force_optimize(m, sample_returns(m, mix, cfg), _neg_exp, cfg, box=box)
+    brute_force_optimize(m, sample_returns(m, mix, 2_000, 1), _neg_exp, box=box)
     assert 0 < calls < 10_000
 
 
@@ -196,10 +175,9 @@ def _lattice_then_nelder_mead(objective, box):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_search_matches_lattice_reference(n, seed):
     m, mix, box = _exp_market(100 * n + seed, n)
-    cfg = McConfig(seed=seed, paths=5_000, antithetic=True)
-    returns = sample_returns(m, mix, cfg)
-    objective = crn_objective(m, returns, _neg_exp, 1.0, cfg)
-    got = objective(brute_force_optimize(m, returns, _neg_exp, cfg, box=box).x)
+    returns = sample_returns(m, mix, 5_000, seed)
+    objective = crn_objective(m, returns, _neg_exp, 1.0)
+    got = objective(brute_force_optimize(m, returns, _neg_exp, box=box).x)
     want = objective(_lattice_then_nelder_mead(objective, box))
     assert got >= want - 1e-12 * abs(want)
 
@@ -207,11 +185,10 @@ def test_search_matches_lattice_reference(n, seed):
 @pytest.mark.parametrize("n", [6, 10, 20, 50])
 def test_search_reaches_the_crn_maximum_as_n_grows(n):
     m, mix, box = _exp_market(n, n, sane_exp_market)
-    cfg = McConfig(seed=n, paths=20_000, antithetic=True)
-    returns = sample_returns(m, mix, cfg)
-    objective = crn_objective(m, returns, _neg_exp, 1.0, cfg)
+    returns = sample_returns(m, mix, 20_000, n)
+    objective = crn_objective(m, returns, _neg_exp, 1.0)
     t0 = time.perf_counter()
-    res = brute_force_optimize(m, returns, _neg_exp, cfg, box=box)
+    res = brute_force_optimize(m, returns, _neg_exp, box=box)
     elapsed = time.perf_counter() - t0
     # the closed-form optimum x* is a feasible point of the same sample
     want = objective(exp_opt.optimize(m, mix).x_star)
@@ -229,9 +206,8 @@ def test_search_with_some_bounds_binding():
     mix = Exponential(1.0)
     x_star = exp_opt.optimize(m, mix).x_star
     box = [(-0.5 * abs(v), 0.5 * abs(v)) if i % 2 else (-5.0, 5.0) for i, v in enumerate(x_star)]
-    cfg = McConfig(seed=5, paths=20_000, antithetic=True)
-    returns = sample_returns(m, mix, cfg)
-    res = brute_force_optimize(m, returns, _neg_exp, cfg, box=box)
+    returns = sample_returns(m, mix, 20_000, 5)
+    res = brute_force_optimize(m, returns, _neg_exp, box=box)
     assert res.status == "decrement"
     excess = returns - m.r_f
     g = excess.T @ np.exp(-(1.0 + m.r_f) - excess @ res.x) / excess.shape[0]
@@ -242,7 +218,7 @@ def test_search_with_some_bounds_binding():
     inside = ~(at_lo | at_hi)
     assert np.max(np.abs(g[inside])) <= 1e-4 * np.max(np.abs(g))
     # no feasible point of a bounded quasi-Newton search does better
-    objective = crn_objective(m, returns, _neg_exp, 1.0, cfg)
+    objective = crn_objective(m, returns, _neg_exp, 1.0)
     ref = minimize(lambda x: -objective(x), np.zeros(6), method="L-BFGS-B", bounds=box)
     assert res.value >= -ref.fun - 1e-12 * abs(ref.fun)
 
@@ -253,9 +229,8 @@ def test_brute_force_recovers_gaussian_optimum():
         a_matrix=[[1.0, 0.0], [0.2, 0.9]],
     )
     want = np.linalg.solve(m.sigma, m.gamma + m.excess_mean)
-    cfg = McConfig(seed=7, paths=1_000_000, antithetic=True)
     got = brute_force_optimize(
-        m, sample_returns(m, Constant(1.0), cfg), _neg_exp, cfg, box=[(-2.0, 2.0)] * 2
+        m, sample_returns(m, Constant(1.0), 1_000_000, 7), _neg_exp, box=[(-2.0, 2.0)] * 2
     ).x
     assert np.allclose(got, want, atol=1e-3)
 
@@ -273,11 +248,25 @@ def test_brute_force_with_quadratic_utility_derivatives():
 
     b, w0 = 0.3, 1.0
     m = random_spd_market(np.random.default_rng(8), 2)
-    cfg = McConfig(seed=3, paths=4_000, antithetic=True)
-    returns = sample_returns(m, Constant(1.0), cfg)
-    res = brute_force_optimize(m, returns, UtilitySpec.quadratic(b).derivative, cfg, box=[(-20.0, 20.0)] * 2, w0=w0)
+    returns = sample_returns(m, Constant(1.0), 4_000, 3)
+    res = brute_force_optimize(m, returns, UtilitySpec.quadratic(b).derivative, box=[(-20.0, 20.0)] * 2, w0=w0)
     excess = returns - m.r_f
     c = w0 * (1.0 + m.r_f)
     want = (1.0 - 2.0 * b * c) / (2.0 * b * w0) * np.linalg.solve(excess.T @ excess, excess.sum(axis=0))
     assert res.status == "decrement"
     assert np.allclose(res.x, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["exponential", "quadratic"])
+def test_crn_objective_is_the_estimate_to_the_bit(which):
+    # both average the same antithetic pairs, so mc-verify may read
+    # crn(x*) as the estimate at x*
+    from nmvmopt.general_opt import UtilitySpec
+
+    utility = _neg_exp if which == "exponential" else UtilitySpec.quadratic(0.3).derivative
+    m = random_spd_market(np.random.default_rng(12), 3)
+    returns = sample_returns(m, Exponential(1.0), 30_001, 2)
+    w0 = 1.5
+    objective = crn_objective(m, returns, utility, w0)
+    for x in (np.zeros(3), np.array([0.4, -0.3, 0.2]), [1.0, 0.5, -2.0]):
+        assert objective(x) == mc_expected_utility(m, returns, utility, x, w0).estimate

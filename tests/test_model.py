@@ -186,9 +186,8 @@ def test_exp_mixing_matches_mc(rng):
     e = Exponential(1.0)
     pf = Portfolio(np.array([0.5, 0.3]), w0=1.0, a=1.0)
     exact = expected_exp_utility(m, e, pf)
-    cfg = mc_oracle.McConfig(seed=3, paths=1_000_000)
     est = mc_oracle.mc_expected_utility(
-        m, mc_oracle.sample_returns(m, e, cfg), lambda k, w: -((-1.0) ** k) * np.exp(-w), pf, cfg
+        m, mc_oracle.sample_returns(m, e, 1_000_000, 3), lambda k, w: -((-1.0) ** k) * np.exp(-w), pf.x, pf.w0
     )
     assert est.within(exact, 3.0)
 
@@ -235,7 +234,7 @@ def test_y_coordinate_distributional_identity(rng):
     y = m.a_matrix.T @ x
 
     paths = 1_000_000
-    returns = mc_oracle.sample_returns(m, e, mc_oracle.McConfig(seed=17, paths=paths))
+    returns = mc_oracle.sample_returns(m, e, paths, 17)
     lhs = (returns - m.r_f) @ x
 
     rng2 = np.random.Generator(np.random.Philox(key=1234))

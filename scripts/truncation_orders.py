@@ -17,8 +17,8 @@ from nmvmopt.exp_opt import optimize
 from nmvmopt.general_opt import (
     MomentTable,
     ReducedDomain,
-    UtilitySpec,
     exp_feasible_domain,
+    exponential_utility,
     m_objective,
     optimize_3d,
     reconstruct_portfolio,
@@ -50,7 +50,7 @@ def main():
     tm = res.transformed
     print(f"exact optimal utility  {res.optimal_utility:.10f}   q_min {res.q_min:.8f}")
 
-    u = UtilitySpec.exponential(1.0)
+    u = exponential_utility(1.0)
     rho_star = reduce_portfolio(res.x_star, tm, m).rho
     dom = exp_feasible_domain(tm, mix, 1.0, 1.0, ReducedDomain(rho=(0.0, 1.5 * rho_star)))
     print(f"\n{'order':>6} {'exact U at x_K':>16} {'rel loss':>12} {'trunc gap':>12}")

@@ -22,16 +22,16 @@ import math
 import os
 import sys
 import tempfile
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-# general_opt is imported by the subcommand that uses it, and only there
+# general_opt is imported by the two subcommands that use it, and only there
 from . import exp_opt, large_market, mc_oracle
 from .errors import (
     DegenerateModelError,
     InfeasiblePointError,
     InfeasiblePortfolioError,
+    InvalidMomentOrderError,
     MixingDomainError,
     SingularModelError,
     SpecFileError,
@@ -46,9 +46,6 @@ _INFEASIBLE_ERRORS = (
     InfeasiblePointError,
     MixingDomainError,
 )
-
-if TYPE_CHECKING:
-    from . import general_opt
 
 DEFAULT_SEED = 20240817
 
@@ -190,7 +187,11 @@ def parse_model(block: dict) -> MarketModel:
 
 def parse_investor(block: dict) -> tuple[float, float]:
     _require_keys(block, {"a": True, "w0": True}, "investor")
-    return _number(block["a"], "investor.a"), _number(block["w0"], "investor.w0")
+    a, w0 = _number(block["a"], "investor.a"), _number(block["w0"], "investor.w0")
+    for key, value in (("a", a), ("w0", w0)):
+        if not (math.isfinite(value) and value > 0):  # json reads NaN and Infinity
+            raise SpecFileError(f"investor.{key} must be finite and > 0, got {value!r}")
+    return a, w0
 
 
 def _interval(block: dict, key: str, where: str) -> tuple[float, float]:
@@ -337,27 +338,28 @@ def run_exp_opt(spec_path: str, out_path: str) -> int:
     return 0
 
 
-def _parse_utility(text: str, a_exp: float) -> tuple[general_opt.UtilitySpec, float]:
-    """Returns (utility, a) where a is the exponential coefficient in use."""
+def _parse_utility(text: str, a_exp: float):
+    """(utility(k, w), a): a is the exponential coefficient in use for an
+    exponential utility and None for every other kind."""
     from . import general_opt
 
     kind, _, param = text.partition(":")
     try:
         if kind == "exponential":
             a_used = float(param) if param else a_exp
-            return general_opt.UtilitySpec.exponential(a_used), a_used
+            return general_opt.exponential_utility(a_used), a_used
         if kind == "quadratic":
             if not param:
                 raise SpecFileError("quadratic utility needs a parameter: quadratic:<b>")
-            return general_opt.UtilitySpec.quadratic(float(param)), a_exp
+            return general_opt.quadratic_utility(float(param)), None
         if kind == "power":
             if not param:
                 raise SpecFileError("power utility needs a parameter: power:<eta>")
-            return general_opt.UtilitySpec.power(float(param)), a_exp
+            return general_opt.power_utility(float(param)), None
         if kind == "log":
             if param:
                 raise SpecFileError(f"log utility takes no parameter, got '{text}'")
-            return general_opt.UtilitySpec.log(), a_exp
+            return general_opt.log_utility(), None
     except ValueError as exc:
         raise SpecFileError(f"invalid utility '{text}': {exc}") from exc
     raise SpecFileError(
@@ -377,12 +379,15 @@ def run_general_opt(spec_path: str, out_path: str, order: int, utility_text: str
         domain = general_opt.ReducedDomain(**box)
     except ValueError as exc:
         raise SpecFileError(f"invalid domain block: {exc}") from exc
-    exponential = utility.kind == "exponential"
+    exponential = a_util is not None
     if exponential:
         domain = general_opt.exp_feasible_domain(tm, mix, a_util, w0, domain)
     # one table serves the search, m_value and the gap, which compares
     # with the next order unless the exact expected utility is known
-    table = general_opt.MomentTable.build(mix, order if exponential else order + 1)
+    try:
+        table = general_opt.MomentTable.build(mix, order if exponential else order + 1)
+    except InvalidMomentOrderError as exc:
+        raise SpecFileError(f"--order {order} is too large: {exc}") from exc
     point = general_opt.optimize_3d(
         tm, table, utility, order=order, w0=w0, r_f=model.r_f, domain=domain
     )
@@ -442,6 +447,8 @@ def run_large_market(spec_path: str, out_path: str, tolerance: float | None) -> 
 
 
 def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
+    from . import general_opt
+
     if paths < 3:  # one antithetic pair leaves no spread for the covariance SE
         raise ValueError(f"--paths must be at least 3, got {paths}")
     _, model, mix, a, w0 = _load_market(spec_path)
@@ -467,10 +474,7 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
     check("sample-cov", zc < 5.0, f"max |dev|/se = {zc:.3f} (threshold 5)")
 
     res = exp_opt.optimize(model, mix, a=a, w0=w0)
-
-    def utility(k, w):
-        return -((-a) ** k) * np.exp(-a * w)
-
+    utility = general_opt.exponential_utility(a)
     est = mc_oracle.mc_expected_utility(model, returns, utility, res.x_star, w0)
     zu = abs(est.estimate - res.optimal_utility) / est.stderr
     check(
@@ -540,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc-verify", help="rerun Monte Carlo oracle comparisons")
     p.add_argument("--spec", required=True, help="market-spec JSON file")
     p.add_argument("--out", required=True, help="output report path")
-    p.add_argument("--paths", type=int, default=200_000, help="MC paths (default 200000)")
+    p.add_argument("--paths", type=int, default=200_000,
+                   help="MC paths (default 200000), rounded up to even: draws come in antithetic pairs")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
 
     return parser

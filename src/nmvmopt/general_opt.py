@@ -19,18 +19,20 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._nelder_mead import minimize
-from .errors import InfeasiblePointError
+from .errors import InfeasiblePointError, InvalidMomentOrderError
 from .mixing import MixingDistribution
 from .model import MarketModel, TransformedModel
 
 __all__ = [
-    "UtilitySpec",
+    "exponential_utility",
+    "power_utility",
+    "log_utility",
+    "quadratic_utility",
     "ReducedPoint",
     "ReducedDomain",
     "exp_feasible_domain",
@@ -52,125 +54,89 @@ _EXP_MARGIN = 0.98  # share of the Laplace bound s0 the exp-feasible ball keeps
 
 
 # ---------------------------------------------------------------------------
-# utilities
+# utilities: utility(k, w) = U^(k)(w) for k >= 0, the function the Monte
+# Carlo oracle takes too
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
-    """Smooth utility with derivatives of arbitrary order.
+def _check_parameter(utility: str, name: str, value: float) -> None:
+    """The built-ins' parameter rule: finite and > 0 (NaN fails it)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{utility} utility requires a finite {name} > 0, got {value}")
 
-    ``value(w)`` evaluates U, ``derivative(k, w)`` evaluates U^(k) for
-    k >= 1.  ``max_order`` is the highest usable derivative order (None
-    means unlimited).  Built-in utilities are exact formulas whose
-    ``value`` is the order-0 derivative; ``custom`` checks its derivatives
-    against finite differences of the next-lower order.
-    """
 
-    value: Callable
-    derivative: Callable
-    max_order: Optional[int] = None
-    kind: str = "custom"
+def exponential_utility(a: float):
+    """U(w) = -exp(-a w), a > 0."""
+    _check_parameter("exponential", "a", a)
 
-    @staticmethod
-    def exponential(a: float) -> "UtilitySpec":
-        """U(w) = -exp(-a w), a > 0."""
-        if not a > 0:
-            raise ValueError(f"exponential utility requires a > 0, got {a}")
+    def utility(k, w):
+        return -((-a) ** k) * np.exp(-a * w)
 
-        def derivative(k, w):
-            return -((-a) ** k) * np.exp(-a * w)
+    return utility
 
-        return UtilitySpec(partial(derivative, 0), derivative, None, "exponential")
 
-    @staticmethod
-    def power(eta: float) -> "UtilitySpec":
-        """CRRA U(w) = w^(1-eta)/(1-eta) on w > 0 (eta > 0, eta != 1)."""
-        if eta <= 0 or eta == 1.0:
-            raise ValueError(f"power utility requires eta > 0, eta != 1, got {eta}")
-        e0 = 1.0 - eta
+def power_utility(eta: float):
+    """CRRA U(w) = w^(1-eta)/(1-eta) on w > 0 (eta > 0, eta != 1)."""
+    _check_parameter("power", "eta", eta)
+    if eta == 1.0:
+        raise ValueError("power utility requires eta != 1, got 1.0 (that is log utility)")
+    e0 = 1.0 - eta
 
-        def formula(w, k):
-            coeff = 1.0
-            for j in range(k):
-                coeff *= e0 - j
-            return coeff * w ** (e0 - k) / e0
+    def formula(w, k):
+        coeff = 1.0
+        for j in range(k):
+            coeff *= e0 - j
+        return coeff * w ** (e0 - k) / e0
 
-        derivative = _on_positive_wealth(formula)
-        return UtilitySpec(partial(derivative, 0), derivative, None, "power")
+    return _on_positive_wealth(formula)
 
-    @staticmethod
-    def log() -> "UtilitySpec":
-        """U(w) = ln w on w > 0."""
 
-        def formula(w, k):
-            if k == 0:
-                return math.log(w) if isinstance(w, float) else np.log(w)
-            return (-1.0) ** (k - 1) * math.factorial(k - 1) / w**k
+def log_utility():
+    """U(w) = ln w on w > 0."""
 
-        derivative = _on_positive_wealth(formula)
-        return UtilitySpec(partial(derivative, 0), derivative, None, "log")
+    def formula(w, k):
+        if k == 0:
+            return math.log(w) if isinstance(w, float) else np.log(w)
+        return (-1.0) ** (k - 1) * math.factorial(k - 1) / w**k
 
-    @staticmethod
-    def quadratic(b: float) -> "UtilitySpec":
-        """U(w) = w - b w^2, b > 0.  Derivatives vanish beyond order 2,
-        so the moment expansion is exact at any order >= 2.  The constant
-        derivatives come as an array of w's shape for an array w."""
-        if not b > 0:
-            raise ValueError(f"quadratic utility requires b > 0, got {b}")
+    return _on_positive_wealth(formula)
 
-        def derivative(k, w):
-            if k == 0:
-                return w - b * (w * w)
-            if k == 1:
-                return 1.0 - 2.0 * b * w
-            value = -2.0 * b if k == 2 else 0.0
-            return np.full(w.shape, value) if isinstance(w, np.ndarray) else value
 
-        return UtilitySpec(partial(derivative, 0), derivative, None, "quadratic")
+def quadratic_utility(b: float):
+    """U(w) = w - b w^2, b > 0.  Derivatives vanish beyond order 2, so the
+    moment expansion is exact at any order >= 2.  The constant derivatives
+    come as an array of w's shape for an array w."""
+    _check_parameter("quadratic", "b", b)
 
-    @staticmethod
-    def custom(value, derivative, max_order=None) -> "UtilitySpec":
-        spec = UtilitySpec(value, derivative, max_order, "custom")
-        _validate_derivatives(spec)
-        return spec
+    def utility(k, w):
+        if k == 0:
+            return w - b * (w * w)
+        if k == 1:
+            return 1.0 - 2.0 * b * w
+        value = -2.0 * b if k == 2 else 0.0
+        return np.full(w.shape, value) if isinstance(w, np.ndarray) else value
+
+    return utility
 
 
 def _on_positive_wealth(formula):
     """(k, w) -> ``formula(w, k)`` for w > 0, NaN elsewhere.  A positive
     Python float, the search's argument, goes to the formula as it is;
-    arrays, w <= 0 and float overflow go through numpy (inf, not an error)."""
+    arrays, w <= 0 and float overflow go through numpy (inf, not an error
+    or a warning)."""
 
-    def derivative(k, w):
+    def utility(k, w):
         if isinstance(w, float) and w > 0:
             try:
                 return formula(w, k)
             except (OverflowError, ZeroDivisionError):
                 pass
         w = np.asarray(w, dtype=float)
-        out = np.where(w > 0, formula(np.where(w > 0, w, 1.0), k), np.nan)
+        with np.errstate(all="ignore"):
+            out = np.where(w > 0, formula(np.where(w > 0, w, 1.0), k), np.nan)
         return float(out) if out.ndim == 0 else out
 
-    return derivative
-
-
-_PROBE_GRID = (0.6, 1.1, 1.9, 2.7)
-
-
-def _validate_derivatives(spec: UtilitySpec, rel_tol: float = 1e-5) -> None:
-    """Check derivative(k,.) against central differences of order k-1."""
-    top = 4 if spec.max_order is None else min(spec.max_order, 4)
-    for k in range(1, top + 1):
-        lower = spec.value if k == 1 else (lambda w, _k=k: spec.derivative(_k - 1, w))
-        for w in _PROBE_GRID:
-            h = 1e-6 * max(1.0, abs(w))
-            fd = (lower(w + h) - lower(w - h)) / (2.0 * h)
-            an = spec.derivative(k, w)
-            if abs(fd - an) > rel_tol * max(abs(an), abs(fd)) + 1e-8:
-                raise ValueError(
-                    f"derivative order {k} inconsistent with finite difference "
-                    f"at w={w}: analytic={an}, fd={fd}"
-                )
+    return utility
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +261,27 @@ class MomentTable:
 
     @classmethod
     def build(cls, mix: MixingDistribution, order: int) -> "MomentTable":
+        """Raises ``InvalidMomentOrderError`` when a moment of the table or
+        the order! that ``m_objective`` divides by is beyond float range."""
         terms = [()] * 2
-        for k in range(2, order + 1):
-            terms.append(
-                tuple(
-                    (
-                        i,
-                        math.comb(k, i)
-                        * mix.mixed_central_moment(i, (k - i) / 2.0)
-                        * normal_moment(k - i),
+        try:
+            for k in range(2, order + 1):
+                float(math.factorial(k))  # m_objective divides by k!
+                terms.append(
+                    tuple(
+                        (
+                            i,
+                            math.comb(k, i)
+                            * mix.mixed_central_moment(i, (k - i) / 2.0)
+                            * normal_moment(k - i),
+                        )
+                        for i in range(k % 2, k + 1, 2)
                     )
-                    for i in range(k % 2, k + 1, 2)
                 )
-            )
+        except OverflowError as exc:
+            raise InvalidMomentOrderError(
+                f"a moment table of order {order} overflows a float ({exc})"
+            ) from exc
         return cls(mix.mean, tuple(terms))
 
 
@@ -365,7 +339,7 @@ def dist_stats(
 
 def m_objective(
     point: ReducedPoint,
-    utility: UtilitySpec,
+    utility: Callable,
     order: int,
     tm: TransformedModel,
     table: MomentTable,
@@ -373,20 +347,16 @@ def m_objective(
     r_f: float = 0.0,
 ) -> float:
     """Truncated expansion M_order(phi, psi, rho) of E[U(W(y))], from
-    ``table`` (order at least ``order``)."""
+    ``table`` (order at least ``order``); ``utility(k, w)`` is U^(k)(w)."""
     if order < 2:
         raise ValueError(f"order={order} must be >= 2")
-    if utility.max_order is not None and order > utility.max_order:
-        raise ValueError(
-            f"order={order} exceeds utility max_order={utility.max_order}"
-        )
     if table.order < order:
         raise ValueError(f"moment table of order {table.order} < order={order}")
     w = mean_wealth(point, tm, table, w0, r_f)
-    total = float(utility.value(w))
+    total = float(utility(0, w))
     for k in range(2, order + 1):
         total += (
-            float(utility.derivative(k, w))
+            float(utility(k, w))
             * wealth_central_moment(k, point, tm, table, w0)
             / math.factorial(k)
         )
@@ -570,7 +540,7 @@ class _BallMap:
 def optimize_3d(
     tm: TransformedModel,
     table: MomentTable,
-    utility: UtilitySpec,
+    utility: Callable,
     order: int = 4,
     w0: float = 1.0,
     r_f: float = 0.0,

@@ -115,9 +115,10 @@ def mc_expected_utility(
     sample ``sample_returns(model, mix, paths, seed)``, from the means of
     its antithetic pairs.
 
-    ``utility(k, w)`` is U^(k)(w), as ``UtilitySpec.derivative``; only
-    k = 0 is used here.  Non-finite draws (such as log utility hit by
-    nonpositive wealth) propagate into the estimate and are counted.
+    ``utility(k, w)`` is U^(k)(w), as ``general_opt``'s built-in utilities
+    give it; only k = 0 is used here.  Non-finite draws (such as log
+    utility hit by nonpositive wealth) propagate into the estimate and are
+    counted.
     """
     vals, pair = _pair_means(model, returns, utility, x, w0)
     n_bad = int(vals.size - np.count_nonzero(np.isfinite(vals)))
@@ -177,8 +178,8 @@ def brute_force_optimize(
     """Argmax of the CRN objective on ``returns`` over the box of one
     (low, high) pair per asset; the test-oracle optimizer.
 
-    ``utility(k, w)`` is U^(k)(w) for k = 0, 1, 2, as
-    ``UtilitySpec.derivative``.  Wealth is affine in x, so the objective
+    ``utility(k, w)`` is U^(k)(w) for k = 0, 1, 2, as ``general_opt``'s
+    built-in utilities give it.  Wealth is affine in x, so the objective
     f(x) = mean U(W(x)) has the exact derivatives
     g = mean U'(W) w0 (R - r_f) and H = mean U''(W) w0^2 (R - r_f)(R - r_f)',
     and H is negative definite for a concave U: the local maximum in the

@@ -29,11 +29,12 @@ from nmvmopt.general_opt import (
     MomentTable,
     ReducedDomain,
     ReducedPoint,
-    UtilitySpec,
     dist_stats,
     exp_feasible_domain,
+    exponential_utility,
     m_objective,
     optimize_3d,
+    quadratic_utility,
     reconstruct_portfolio,
     reduce_portfolio,
     wealth_central_moment,
@@ -207,7 +208,7 @@ def test_criterion_06_quadratic_exactness():
     e = Exponential(1.0)
     rng = np.random.default_rng(606)
     b = 0.3
-    u = UtilitySpec.quadratic(b)
+    u = quadratic_utility(b)
     worst = 0.0
     for n in (2, 3, 3, 4, 4):
         m = sane_exp_market(rng, n)
@@ -239,7 +240,7 @@ def test_criterion_07_exponential_cross_check():
     t0 = time.time()
     e = Exponential(1.0)
     rng = np.random.default_rng(12)
-    u = UtilitySpec.exponential(1.0)
+    u = exponential_utility(1.0)
     rels, shrinks = [], 0
     for _ in range(5):
         n = int(rng.integers(2, 5))

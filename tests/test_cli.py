@@ -439,6 +439,64 @@ def test_general_opt_log_takes_no_parameter(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _run_warnings_as_errors(tmp_path, argv):
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nmvmopt", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=str(REPO),
+    )
+
+
+def _assert_one_input_error(proc, tmp_path, *names):
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: "), proc.stderr
+    assert all(name in lines[0] for name in names), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    (["general-opt"], "w0", 0),
+    (["general-opt", "--utility", "quadratic:0.3"], "w0", 0),
+    (["general-opt", "--utility", "quadratic:0.3"], "w0", -1),
+    (["exp-opt"], "a", 0),
+    (["exp-opt"], "w0", 0),
+    (["exp-opt"], "a", math.inf),
+    (["exp-opt"], "w0", math.nan),
+    (["mc-verify", "--paths", "2000"], "a", 0),
+    (["mc-verify", "--paths", "2000"], "w0", 0),
+    (["mc-verify", "--paths", "2000"], "a", math.inf),
+])
+def test_investor_must_be_finite_and_positive(tmp_path, command, key, value):
+    # json reads NaN and Infinity, so the investor block is checked where it is read
+    spec = json.loads((SPECS / "exp1.json").read_text())
+    spec["investor"][key] = value
+    argv = [*command, "--spec", write_spec(tmp_path, spec)]
+    _assert_one_input_error(_run_warnings_as_errors(tmp_path, argv), tmp_path, f"investor.{key}")
+
+
+@pytest.mark.parametrize(
+    "utility", ["power:nan", "power:inf", "exponential:inf", "exponential:1e400", "quadratic:inf"]
+)
+def test_utility_parameter_must_be_finite_and_positive(tmp_path, utility):
+    argv = ["general-opt", "--spec", str(SPECS / "exp1.json"), "--utility", utility]
+    _assert_one_input_error(_run_warnings_as_errors(tmp_path, argv), tmp_path, utility)
+
+
+@pytest.mark.parametrize("spec,order", [("exp1", 170), ("gaussian", 170), ("gig", 155)])
+def test_general_opt_order_beyond_float_range_is_an_input_error(tmp_path, spec, order):
+    argv = ["general-opt", "--spec", str(SPECS / f"{spec}.json"),
+            "--order", str(order), "--utility", "quadratic:0.3"]
+    _assert_one_input_error(_run_warnings_as_errors(tmp_path, argv), tmp_path, f"--order {order}")
+
+
+def test_general_opt_log_high_order_silent_under_warnings_as_errors(tmp_path):
+    # the log derivatives overflow at order 160; numpy's fallback returns inf quietly
+    argv = ["general-opt", "--spec", str(SPECS / "gaussian.json"), "--order", "160", "--utility", "log"]
+    proc = _run_warnings_as_errors(tmp_path, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # large-market output
 # ---------------------------------------------------------------------------

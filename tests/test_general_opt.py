@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize as sp_minimize
 
 from conftest import random_spd_market, sane_exp_market
-from nmvmopt.errors import InfeasiblePointError
+from nmvmopt.errors import InfeasiblePointError, InvalidMomentOrderError
 from nmvmopt.mixing import GIG, BoundedUniform, Constant, Exponential
 from nmvmopt.model import Portfolio, TransformedModel, expected_exp_utility, transform
 from nmvmopt import exp_opt, general_opt, mc_oracle
@@ -17,13 +17,16 @@ from nmvmopt.general_opt import (
     MomentTable,
     ReducedDomain,
     ReducedPoint,
-    UtilitySpec,
     dist_stats,
     exp_feasible_domain,
+    exponential_utility,
+    log_utility,
     m_objective,
     mean_wealth,
     normal_moment,
     optimize_3d,
+    power_utility,
+    quadratic_utility,
     reconstruct_portfolio,
     reduce_portfolio,
     wealth_central_moment,
@@ -35,52 +38,58 @@ from nmvmopt.general_opt import (
 # ---------------------------------------------------------------------------
 
 
+def _check_derivatives(utility, rel_tol: float = 1e-5) -> None:
+    """Test-side oracle: utility(k, .) against central differences of
+    utility(k - 1, .) for k = 1..4."""
+    for k in range(1, 5):
+        for w in (0.6, 1.1, 1.9, 2.7):
+            h = 1e-6 * max(1.0, abs(w))
+            fd = (utility(k - 1, w + h) - utility(k - 1, w - h)) / (2.0 * h)
+            an = utility(k, w)
+            assert abs(fd - an) <= rel_tol * max(abs(an), abs(fd)) + 1e-8, (k, w, an, fd)
+
+
 def test_builtin_utilities_validate():
-    # construction no longer checks the built-in formulas; check them here
-    for spec in (
-        UtilitySpec.exponential(1.3),
-        UtilitySpec.power(2.0),
-        UtilitySpec.power(0.5),
-        UtilitySpec.log(),
-        UtilitySpec.quadratic(0.4),
+    # construction does not check the built-in formulas; check them here
+    for utility in (
+        exponential_utility(1.3),
+        power_utility(2.0),
+        power_utility(0.5),
+        log_utility(),
+        quadratic_utility(0.4),
     ):
-        general_opt._validate_derivatives(spec)
+        _check_derivatives(utility)
+    # and the oracle catches a derivative wrong by a factor of 2
+    with pytest.raises(AssertionError):
+        _check_derivatives(lambda k, w: (2.0 if k else 1.0) * np.exp(w))
 
 
 def test_utility_parameter_validation():
     with pytest.raises(ValueError):
-        UtilitySpec.exponential(0.0)
+        exponential_utility(0.0)
     with pytest.raises(ValueError):
-        UtilitySpec.power(1.0)
+        power_utility(1.0)
     with pytest.raises(ValueError):
-        UtilitySpec.quadratic(-0.1)
+        quadratic_utility(-0.1)
 
 
 def test_quadratic_higher_derivatives_vanish():
-    q = UtilitySpec.quadratic(0.3)
+    q = quadratic_utility(0.3)
     for k in (3, 4, 7):
-        assert q.derivative(k, 1.7) == 0.0
+        assert q(k, 1.7) == 0.0
     # the constant derivatives take the shape of an array w; a float stays
     # a float, so the search's arithmetic is unchanged
     w = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
     for k, want in ((2, -0.6), (3, 0.0)):
-        got = q.derivative(k, w)
+        got = q(k, w)
         assert isinstance(got, np.ndarray) and got.shape == w.shape and np.all(got == want)
-        assert type(q.derivative(k, 1.7)) is float
-
-
-def test_custom_utility_derivative_mismatch_rejected():
-    with pytest.raises(ValueError, match="finite difference"):
-        UtilitySpec.custom(
-            value=lambda w: np.exp(w),
-            derivative=lambda k, w: 2.0 * np.exp(w),  # wrong by factor 2
-        )
+        assert type(q(k, 1.7)) is float
 
 
 def test_log_and_power_nan_outside_domain():
-    for u in (UtilitySpec.log(), UtilitySpec.power(2.0)):
-        assert math.isnan(u.value(-1.0))
-        vals = u.value(np.array([-1.0, 1.0]))
+    for u in (log_utility(), power_utility(2.0)):
+        assert math.isnan(u(0, -1.0))
+        vals = u(0, np.array([-1.0, 1.0]))
         assert math.isnan(vals[0]) and math.isfinite(vals[1])
 
 
@@ -238,7 +247,7 @@ def test_dist_stats_symmetric_mixture():
 def test_m_objective_rho_zero_any_order():
     e = Exponential(1.0)
     tm = TransformedModel.from_scalars(0.5, 0.7, 0.0, -1.0)
-    u = UtilitySpec.exponential(1.0)
+    u = exponential_utility(1.0)
     p0 = ReducedPoint(0.0, 0.0, 0.0)
     table = MomentTable.build(e, 6)
     for order in (2, 4, 6):
@@ -251,7 +260,7 @@ def test_m_objective_quadratic_closed_form():
     e = Exponential(1.0)
     tm = TransformedModel.from_scalars(0.5, 0.7, 0.0, -1.0)
     b = 0.3
-    u = UtilitySpec.quadratic(b)
+    u = quadratic_utility(b)
     p = ReducedPoint(0.4, 0.6, 0.8)
     table = MomentTable.build(e, 8)
     w = mean_wealth(p, tm, table, 1.0, 0.0)
@@ -264,14 +273,17 @@ def test_m_objective_quadratic_closed_form():
 def test_m_objective_order_validation():
     e = Exponential(1.0)
     tm = TransformedModel.from_scalars(0.5, 0.7, 0.0, -1.0)
-    u = UtilitySpec.custom(
-        value=lambda w: w, derivative=lambda k, w: 1.0 if k == 1 else 0.0, max_order=3
-    )
+    u = quadratic_utility(0.3)
     table = MomentTable.build(e, 4)
     with pytest.raises(ValueError):
-        m_objective(ReducedPoint(0, 0, 1.0), u, 4, tm, table)
-    with pytest.raises(ValueError):
         m_objective(ReducedPoint(0, 0, 1.0), u, 1, tm, table)
+
+
+def test_moment_table_beyond_float_range_raises():
+    # 171! is beyond float range, and m_objective divides by k!
+    MomentTable.build(Constant(1.0), 170)
+    with pytest.raises(InvalidMomentOrderError, match="order 171"):
+        MomentTable.build(Constant(1.0), 171)
 
 
 def test_m_objective_quadratic_matches_mc(rng):
@@ -279,12 +291,12 @@ def test_m_objective_quadratic_matches_mc(rng):
     m = sane_exp_market(rng, 3)
     e = Exponential(1.0)
     tm = transform(m, e)
-    u = UtilitySpec.quadratic(0.25)
+    u = quadratic_utility(0.25)
     x = rng.normal(0.0, 0.4, 3)
     p = reduce_portfolio(x, tm, m)
     val = m_objective(p, u, 4, tm, MomentTable.build(e, 4), 1.0, m.r_f)
     est = mc_oracle.mc_expected_utility(
-        m, mc_oracle.sample_returns(m, e, 2_000_000, 21), u.derivative, x, 1.0
+        m, mc_oracle.sample_returns(m, e, 2_000_000, 21), u, x, 1.0
     )
     assert est.within(val, 3.0)
 
@@ -299,7 +311,7 @@ def test_optimize_3d_quadratic_gamma_free():
     # the risk-adjusted mean (here +1)
     e = Exponential(1.0)
     tm = TransformedModel.from_scalars(0.0, 0.36, 0.0, -1.0)
-    u = UtilitySpec.quadratic(0.2)
+    u = quadratic_utility(0.2)
     p = optimize_3d(
         tm, MomentTable.build(e, 4), u, order=4, w0=1.0, r_f=0.0, domain=ReducedDomain(rho=(0.0, 2.0))
     )
@@ -325,7 +337,7 @@ def test_optimize_3d_quadratic_matches_brute_force(n, rng):
     e = Exponential(1.0)
     tm = transform(m, e)
     b = 0.3
-    u = UtilitySpec.quadratic(b)
+    u = quadratic_utility(b)
     table = MomentTable.build(e, 4)
     point = optimize_3d(tm, table, u, order=4, w0=1.0, r_f=m.r_f, domain=ReducedDomain(rho=(0.0, 2.0)))
     x = reconstruct_portfolio(point, tm, m)
@@ -351,7 +363,7 @@ def test_optimize_3d_degenerate_geometries(case):
     from nmvmopt.model import MarketModel
 
     e = Exponential(1.0)
-    u = UtilitySpec.quadratic(0.3)
+    u = quadratic_utility(0.3)
     if case == "parallel":  # gamma0 is a multiple of mu0
         m = MarketModel(
             n=3, r_f=0.0, mu=[0.1, 0.06, 0.04], gamma=[0.05, 0.03, 0.02],
@@ -384,7 +396,7 @@ def test_optimize_3d_not_improved_by_random_probes(rng):
     m = sane_exp_market(rng, 3)
     e = Exponential(1.0)
     tm = transform(m, e)
-    u = UtilitySpec.quadratic(0.3)
+    u = quadratic_utility(0.3)
     dom = ReducedDomain(rho=(0.0, 2.0))
     table = MomentTable.build(e, 4)
     point = optimize_3d(tm, table, u, order=4, w0=1.0, r_f=m.r_f, domain=dom)
@@ -404,7 +416,7 @@ def test_exponential_cross_check_order4(rng):
     e = Exponential(1.0)
     res = exp_opt.optimize(m, e, a=1.0, w0=1.0)
     tm = res.transformed
-    u = UtilitySpec.exponential(1.0)
+    u = exponential_utility(1.0)
     rho_star = reduce_portfolio(res.x_star, tm, m).rho
     dom = exp_feasible_domain(tm, e, 1.0, 1.0, ReducedDomain(rho=(0.0, 1.5 * rho_star)))
     point = optimize_3d(tm, MomentTable.build(e, 4), u, order=4, w0=1.0, r_f=m.r_f, domain=dom)
@@ -522,7 +534,7 @@ def test_roundtrip_preserves_objective(rng):
     m = random_spd_market(rng, 3)
     e = Exponential(1.0)
     tm = transform(m, e)
-    u = UtilitySpec.exponential(1.0)
+    u = exponential_utility(1.0)
     x = rng.normal(0.0, 0.3, 3)
     p = reduce_portfolio(x, tm, m)
     x2 = reconstruct_portfolio(p, tm, m)
@@ -574,12 +586,12 @@ def test_optimize_3d_never_probes_outside_exp_ball(monkeypatch, order):
         ReducedDomain, "contains", lambda self, p, tol=1e-12: seen.append(real(self, p, tol)) or seen[-1]
     )
     table = MomentTable.build(mix, order)
-    optimize_3d(tm, table, UtilitySpec.exponential(a), order=order, w0=w0, r_f=m.r_f, domain=dom)
+    optimize_3d(tm, table, exponential_utility(a), order=order, w0=w0, r_f=m.r_f, domain=dom)
     assert len(seen) > 100
     assert all(seen)
 
 
-@pytest.mark.parametrize("utility", [UtilitySpec.log(), UtilitySpec.power(2.0), UtilitySpec.power(0.5)])
+@pytest.mark.parametrize("utility", [log_utility(), power_utility(2.0), power_utility(0.5)])
 def test_log_and_power_search_budget_and_finite_starts(monkeypatch, utility):
     m, mix, tm, a, w0 = _shipped("exp1")
     calls, starts = [], []
@@ -604,10 +616,10 @@ def test_log_and_power_search_budget_and_finite_starts(monkeypatch, utility):
 def test_optimize_3d_not_improved_by_random_feasible_probes(rng, spec, kind):
     m, mix, tm, a, w0 = _shipped(spec)
     if kind == "exponential":
-        u = UtilitySpec.exponential(a)
+        u = exponential_utility(a)
         dom = exp_feasible_domain(tm, mix, a, w0)
     else:
-        u = UtilitySpec.log() if kind == "log" else UtilitySpec.power(2.0)
+        u = log_utility() if kind == "log" else power_utility(2.0)
         dom = ReducedDomain()
     table = MomentTable.build(mix, 4)
     point = optimize_3d(tm, table, u, order=4, w0=w0, r_f=m.r_f, domain=dom)

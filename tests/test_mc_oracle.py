@@ -22,7 +22,7 @@ from nmvmopt.mc_oracle import (
 
 
 def _neg_exp(k, w):
-    """U^(k)(w) of U(w) = -exp(-w), as UtilitySpec.derivative."""
+    """U^(k)(w) of U(w) = -exp(-w), as general_opt.exponential_utility(1.0)."""
     return -((-1.0) ** k) * np.exp(-w)
 
 
@@ -244,12 +244,12 @@ def test_estimate_within_helper():
 def test_brute_force_with_quadratic_utility_derivatives():
     # U(w) = w - b w^2: the CRN objective is quadratic in x, so its maximum
     # solves mean((1 - 2 b W) (R - r_f)) = 0 exactly and Newton lands on it
-    from nmvmopt.general_opt import UtilitySpec
+    from nmvmopt.general_opt import quadratic_utility
 
     b, w0 = 0.3, 1.0
     m = random_spd_market(np.random.default_rng(8), 2)
     returns = sample_returns(m, Constant(1.0), 4_000, 3)
-    res = brute_force_optimize(m, returns, UtilitySpec.quadratic(b).derivative, box=[(-20.0, 20.0)] * 2, w0=w0)
+    res = brute_force_optimize(m, returns, quadratic_utility(b), box=[(-20.0, 20.0)] * 2, w0=w0)
     excess = returns - m.r_f
     c = w0 * (1.0 + m.r_f)
     want = (1.0 - 2.0 * b * c) / (2.0 * b * w0) * np.linalg.solve(excess.T @ excess, excess.sum(axis=0))
@@ -261,9 +261,9 @@ def test_brute_force_with_quadratic_utility_derivatives():
 def test_crn_objective_is_the_estimate_to_the_bit(which):
     # both average the same antithetic pairs, so mc-verify may read
     # crn(x*) as the estimate at x*
-    from nmvmopt.general_opt import UtilitySpec
+    from nmvmopt.general_opt import quadratic_utility
 
-    utility = _neg_exp if which == "exponential" else UtilitySpec.quadratic(0.3).derivative
+    utility = _neg_exp if which == "exponential" else quadratic_utility(0.3)
     m = random_spd_market(np.random.default_rng(12), 3)
     returns = sample_returns(m, Exponential(1.0), 30_001, 2)
     w0 = 1.5

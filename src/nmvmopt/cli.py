@@ -196,6 +196,8 @@ def parse_investor(block: dict) -> tuple[float, float]:
 
 def _interval(block: dict, key: str, where: str) -> tuple[float, float]:
     lo, hi = _vector(block[key], 2, f"{where}.{key}").tolist()
+    if math.isnan(lo) or math.isnan(hi):
+        raise SpecFileError(f"'{key}' in {where} has a NaN bound")
     if lo > hi:
         raise SpecFileError(f"'{key}' in {where} has low > high")
     return lo, hi
@@ -427,6 +429,17 @@ def run_large_market(spec_path: str, out_path: str, tolerance: float | None) -> 
     spec, n_list, tol = parse_large_market(_need(raw, "large_market"))
     if tolerance is not None:
         tol = tolerance
+    if not (math.isfinite(tol) and tol > 0):
+        source = "large_market.tolerance" if tolerance is None else "--tolerance"
+        raise SpecFileError(f"{source} must be finite and > 0, got {tol!r}")
+    half = spec.max_n // 2
+    tail = large_market.d2_tail(spec, half) if spec.max_n >= 4 else 0.0
+    if tail >= 1e-3:
+        print(
+            f"note: square-summability proxy fails at the horizon: sum of d_i^2 "
+            f"over ({half}, {spec.max_n}] = {tail:.3e} >= 1e-3",
+            file=sys.stderr,
+        )
     rows, converged = large_market.convergence_study(spec, n_list, tol=tol)
     for prev, nxt in zip(rows, rows[1:]):
         if nxt.u_n > prev.u_n + 1e-10:

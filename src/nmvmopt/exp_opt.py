@@ -37,7 +37,6 @@ from .model import (
 __all__ = [
     "ExpOptResult",
     "SolverInfo",
-    "h_function",
     "log_h_function",
     "minimize_h",
     "solve_foc",
@@ -86,11 +85,6 @@ def log_h_function(tm: TransformedModel, mix: MixingDistribution, theta: float) 
     return tm.c_scalar * theta + mix.log_laplace(s)
 
 
-def h_function(tm: TransformedModel, mix: MixingDistribution, theta: float) -> float:
-    """H(theta) = exp(C theta) L_Z(A/2 - theta^2 C / 2)."""
-    return math.exp(log_h_function(tm, mix, theta))
-
-
 def _default_left_edge(tm, log_h) -> float:
     """Left end of the search interval for the full problem."""
     if math.isfinite(tm.theta0):
@@ -133,11 +127,6 @@ def _minimize_on_interval(log_h, stationarity, lo: float, hi: float):
         a, b = best_bracket
         if stationarity(a) < 0.0 < stationarity(b):
             best_t = brentq(stationarity, a, b, xtol=1e-15)
-    # endpoints win ties at tolerance (leftmost deterministic choice); the
-    # grid holds both, so their values are vals[0] and vals[-1]
-    for t, v in ((lo, vals[0]), (hi, vals[-1])):
-        if v < best_v - 1e-15:
-            best_t, best_v = t, float(v)
     return best_t, best_v, evals
 
 

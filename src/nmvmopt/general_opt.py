@@ -191,6 +191,8 @@ class ReducedDomain:
                 raise ValueError(f"{key} bounds {getattr(self, key)} outside [-1, 1]")
         if not self.rho[0] >= 0.0:
             raise ValueError(f"rho lower bound {self.rho[0]} must be >= 0")
+        if not math.isfinite(self.rho[1]):
+            raise ValueError(f"rho upper bound {self.rho[1]} must be finite")
         for key in ("phi", "psi", "rho"):
             low, high = getattr(self, key)
             if low > high:

@@ -13,7 +13,6 @@ in n; the convergence study tracks its Cauchy behavior numerically.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +63,6 @@ class LargeMarketSpec:
     beta_bar_seq: object
     mix: MixingDistribution
     max_n: int
-    cauchy_tol: float = 1e-3
     gamma: np.ndarray = field(init=False)
     mu: np.ndarray = field(init=False)
     beta: np.ndarray = field(init=False)
@@ -112,24 +110,11 @@ class LargeMarketSpec:
             np.abs(_drift(self, every, np.sqrt(lo))), np.abs(_drift(self, every, np.sqrt(hi)))
         )
         object.__setattr__(self, "d", d)
-        if self.max_n >= 4:
-            tail = d2_tail(self, self.max_n // 2)
-            if tail >= self.cauchy_tol:
-                warnings.warn(
-                    f"square-summability proxy fails at the configured horizon: "
-                    f"sum of d_i^2 over ({self.max_n // 2}, {self.max_n}] = {tail:.3e} "
-                    f">= {self.cauchy_tol}",
-                    stacklevel=2,
-                )
-
-    @property
-    def z_bounds(self) -> tuple[float, float]:
-        return self.mix.support()
 
 
 def _check_z(spec: LargeMarketSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    lo, hi = spec.z_bounds
+    lo, hi = spec.mix.support()
     if np.any(z < lo - 1e-12) or np.any(z > hi + 1e-12):
         raise ValueError(f"z={z} outside the mixing support [{lo}, {hi}]")
     return z

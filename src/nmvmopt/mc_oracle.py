@@ -38,10 +38,6 @@ class McEstimate:
     stderr: float
     n_nonfinite: int = 0
 
-    def within(self, value: float, k: float = 3.0) -> bool:
-        """True if ``value`` lies within k standard errors of the estimate."""
-        return abs(self.estimate - value) <= k * self.stderr
-
 
 def block_mean(values: np.ndarray, block: int = 65536) -> float:
     """Mean via fixed-size index blocks reduced in index order.
@@ -85,7 +81,7 @@ def sample_returns(
     normal_rng, mix_rng = np.random.Generator(root), np.random.Generator(root.jumped(1))
     half = (paths + 1) // 2
     g0 = normal_rng.standard_normal((half, model.n))
-    z0 = mix.sample(half, rng=mix_rng)
+    z0 = mix.sample(half, mix_rng)
     z, g = np.concatenate([z0, z0]), np.vstack([g0, -g0])
     return (
         model.mu[None, :]

@@ -4,7 +4,7 @@ A mixing distribution is a positive scalar random variable Z that drives
 both the variance scaling and the skewness of the return vector.  Each
 family here exposes a Laplace transform E[exp(-s Z)] (finite for
 s > s_lower_bound), its derivative, raw moments E[Z^r], mixed central
-moments E[(Z-EZ)^i Z^p], and seeded sampling.
+moments E[(Z-EZ)^i Z^p], and sampling from a given generator.
 
 Families:
 
@@ -35,7 +35,6 @@ __all__ = [
     "Exponential",
     "GIG",
     "BoundedUniform",
-    "bessel_k",
     "log_bessel_k",
 ]
 
@@ -47,19 +46,6 @@ def _special():
     import scipy.special
 
     return scipy.special
-
-
-def bessel_k(lam: float, x):
-    """Modified Bessel function of the second kind K_lam(x), x > 0.
-
-    Symmetric in the order (K_lam = K_{-lam}).  Use :func:`log_bessel_k`
-    for large ``x`` where the value underflows.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise MixingDomainError(f"bessel_k requires x > 0, got {x}")
-    out = _special().kv(lam, x)
-    return float(out) if out.ndim == 0 else out
 
 
 def log_bessel_k(lam: float, x):
@@ -118,12 +104,6 @@ _CANCELLATION_LIMIT = 1e4
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """24-point Gauss-Legendre nodes and weights on [-1, 1]."""
     return np.polynomial.legendre.leggauss(24)
-
-
-def _rng_from_seed(seed) -> np.random.Generator:
-    # Philox: counter-based, stream-stable across platforms; pinned so
-    # sampling output is reproducible byte-for-byte given a seed.
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 class MixingDistribution:
@@ -206,12 +186,10 @@ class MixingDistribution:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, count: int, *, seed=None, rng=None) -> np.ndarray:
-        """Draw ``count`` variates; deterministic given ``seed``."""
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``count`` variates from ``rng``."""
         if count < 1:
             raise ValueError(f"count={count} must be >= 1")
-        if rng is None:
-            rng = _rng_from_seed(seed)
         return self._sample(rng, count)
 
     def _sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -229,8 +207,8 @@ class Constant(MixingDistribution):
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"Constant mixing requires value > 0, got {self.value}")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"Constant mixing requires a finite value > 0, got {self.value}")
 
     @property
     def s_lower_bound(self) -> float:
@@ -262,8 +240,8 @@ class Exponential(MixingDistribution):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"Exponential mixing requires rate > 0, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"Exponential mixing requires a finite rate > 0, got {self.rate}")
 
     @property
     def s_lower_bound(self) -> float:
@@ -303,10 +281,12 @@ class GIG(MixingDistribution):
     psi: float
 
     def __post_init__(self):
-        if not (self.chi > 0 and self.psi > 0):
+        if not (0 < self.chi < math.inf and 0 < self.psi < math.inf):
             raise ValueError(
-                f"GIG requires chi > 0 and psi > 0, got chi={self.chi}, psi={self.psi}"
+                f"GIG requires finite chi > 0 and psi > 0, got chi={self.chi}, psi={self.psi}"
             )
+        if not math.isfinite(self.lam):
+            raise ValueError(f"GIG requires a finite lam, got {self.lam}")
         if abs(self.lam) < sys.float_info.min:
             # scipy's kve returns nan/inf at subnormal orders; K is smooth
             # in the order, so such a lam is 0
@@ -396,9 +376,9 @@ class BoundedUniform(MixingDistribution):
     high: float
 
     def __post_init__(self):
-        if not (0 < self.low < self.high):
+        if not 0 < self.low < self.high < math.inf:
             raise ValueError(
-                f"BoundedUniform requires 0 < low < high, got ({self.low}, {self.high})"
+                f"BoundedUniform requires 0 < low < high < inf, got ({self.low}, {self.high})"
             )
 
     @property

@@ -23,7 +23,6 @@ __all__ = [
     "Portfolio",
     "transform",
     "feasibility_check",
-    "feasibility_margin",
     "expected_exp_utility",
     "log_neg_expected_exp_utility",
 ]
@@ -53,6 +52,9 @@ class MarketModel:
             )
         if a.shape != (self.n, self.n):
             raise ValueError(f"a_matrix must be {self.n}x{self.n}, got {a.shape}")
+        for name, value in (("r_f", self.r_f), ("mu", mu), ("gamma", gamma), ("a_matrix", a)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         svals = np.linalg.svd(a, compute_uv=False)
         if svals[-1] <= _SINGULARITY_RTOL * svals[0]:
             raise SingularModelError(
@@ -173,17 +175,6 @@ def quadratic_exponent(model: MarketModel, portfolio: Portfolio) -> float:
     return float(aw * (x @ model.gamma) - 0.5 * aw * aw * (x @ model.sigma @ x))
 
 
-def feasibility_margin(
-    model: MarketModel, mix: MixingDistribution, portfolio: Portfolio
-) -> float:
-    """g(x) - s0; positive inside the finite-expected-utility set."""
-    s0 = mix.s_lower_bound
-    g = quadratic_exponent(model, portfolio)
-    if not math.isfinite(s0):
-        return math.inf
-    return g - s0
-
-
 def feasibility_check(
     model: MarketModel, mix: MixingDistribution, portfolio: Portfolio
 ) -> bool:
@@ -192,7 +183,8 @@ def feasibility_check(
     The boundary g(x) = s0 is rejected: for finite s0 the Laplace transform
     blows up there (or at best the utility is only marginally integrable).
     """
-    return feasibility_margin(model, mix, portfolio) > 0.0
+    s0 = mix.s_lower_bound
+    return s0 == -math.inf or quadratic_exponent(model, portfolio) > s0
 
 
 def log_neg_expected_exp_utility(

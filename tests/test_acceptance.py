@@ -163,7 +163,7 @@ def test_criterion_05_moment_engine():
     for mix, seed in ((Exponential(1.0), 51), (GIG(-0.5, 1.0, 1.0), 52)):
         tm = TransformedModel.from_scalars(0.6, 1.1, -0.2, mix.s_lower_bound)
         table = MomentTable.build(mix, 6)
-        z = mix.sample(draws, seed=seed)
+        z = mix.sample(draws, np.random.Generator(np.random.Philox(key=seed)))
         g = np.random.Generator(np.random.Philox(key=seed + 1000)).standard_normal(draws)
         rz = np.sqrt(z)
         zc = z - mix.mean
@@ -326,7 +326,6 @@ def test_criterion_09_martingale_density():
         beta_bar_seq=lambda i: 1.0,
         mix=BoundedUniform(0.5, 1.5),
         max_n=8,
-        cauchy_tol=1.0,
     )
     n = 4
     rng = np.random.Generator(np.random.Philox(key=909))

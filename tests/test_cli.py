@@ -442,7 +442,7 @@ def test_general_opt_log_takes_no_parameter(tmp_path, capsys):
 def _run_warnings_as_errors(tmp_path, argv):
     return subprocess.run(
         [sys.executable, "-W", "error", "-m", "nmvmopt", *argv, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, cwd=str(REPO),
+        capture_output=True, text=True, cwd=str(REPO), timeout=60,
     )
 
 
@@ -489,6 +489,54 @@ def test_general_opt_order_beyond_float_range_is_an_input_error(tmp_path, spec, 
     _assert_one_input_error(_run_warnings_as_errors(tmp_path, argv), tmp_path, f"--order {order}")
 
 
+@pytest.mark.parametrize("command,spec,path,value,name", [
+    # a NaN GIG order used to leave mc-verify's sampler rejecting forever
+    (["mc-verify", "--paths", "2000"], "gig", ("mixing", "lambda"), math.nan, "lam"),
+    (["exp-opt"], "gig", ("mixing", "lambda"), math.nan, "lam"),
+    (["general-opt"], "gig", ("mixing", "lambda"), math.nan, "lam"),
+    (["exp-opt"], "gig", ("mixing", "chi"), math.inf, "chi"),
+    (["exp-opt"], "exp1", ("mixing", "rate"), math.inf, "rate"),
+    (["exp-opt"], "gaussian", ("mixing", "value"), math.inf, "value"),
+    (["exp-opt"], "exp1", ("mixing",), {"kind": "bounded_uniform", "low": 0.5, "high": math.inf}, "high"),
+    (["exp-opt"], "exp1", ("model", "a_matrix", 1, 0), math.inf, "a_matrix"),
+    (["exp-opt"], "exp1", ("model", "r_f"), math.nan, "r_f"),
+    (["exp-opt"], "exp1", ("model", "mu", 2), math.inf, "mu"),
+    (["exp-opt"], "exp1", ("domain",), {"c_interval": [math.nan, 0.5]}, "c_interval"),
+    (["general-opt"], "exp1", ("domain",), {"rho": [0.0, math.inf]}, "rho"),
+    (["general-opt"], "exp1", ("domain",), {"rho": [0.0, math.nan]}, "rho"),
+])
+def test_non_finite_spec_number_is_an_input_error(tmp_path, command, spec, path, value, name):
+    # json reads NaN and Infinity, so the model, the mixing law and the domain reject them
+    raw = json.loads((SPECS / f"{spec}.json").read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    argv = [*command, "--spec", write_spec(tmp_path, raw)]
+    _assert_one_input_error(_run_warnings_as_errors(tmp_path, argv), tmp_path, name)
+
+
+def test_exp_opt_half_open_c_interval(tmp_path):
+    raw = json.loads((SPECS / "exp1.json").read_text())
+    raw["domain"] = {"c_interval": [-math.inf, 0.5]}
+    proc = _run_warnings_as_errors(tmp_path, ["exp-opt", "--spec", write_spec(tmp_path, raw)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("source", ["large_market.tolerance", "--tolerance"])
+def test_large_market_tolerance_must_be_finite_and_positive(tmp_path, source, value):
+    raw = json.loads((SPECS / "large_market.json").read_text())
+    argv = ["large-market"]
+    if source == "--tolerance":
+        argv += ["--tolerance", str(value)]
+    else:
+        raw["large_market"]["tolerance"] = value
+    argv += ["--spec", write_spec(tmp_path, raw)]
+    _assert_one_input_error(_run_warnings_as_errors(tmp_path, argv), tmp_path, source)
+
+
 def test_general_opt_log_high_order_silent_under_warnings_as_errors(tmp_path):
     # the log derivatives overflow at order 160; numpy's fallback returns inf quietly
     argv = ["general-opt", "--spec", str(SPECS / "gaussian.json"), "--order", "160", "--utility", "log"]
@@ -531,6 +579,29 @@ def test_large_market_decay_spec(tmp_path):
     assert all(a >= b - 1e-12 for a, b in zip(u, u[1:]))
     gaps = [float(r[2]) for r in rows]
     assert gaps[-1] < 1e-4
+
+
+def test_large_market_notes_a_failing_horizon_tail(tmp_path):
+    # constant coefficients: d_i does not decay, so the tail over (8, 16] is
+    # far above 1e-3; the note goes to stderr and the CSV keeps its bytes
+    block = {
+        "gamma": {"kind": "constant", "value": 0.1},
+        "mu": {"kind": "constant", "value": 0.1},
+        "beta": {"kind": "constant", "value": 0.3},
+        "beta_bar": {"kind": "constant", "value": 1.0},
+        "mixing": {"kind": "bounded_uniform", "low": 0.5, "high": 1.5},
+        "n_list": [2, 4, 8],
+        "max_n": 16,
+    }
+    argv = ["large-market", "--spec", write_spec(tmp_path, {"large_market": block})]
+    proc = _run_warnings_as_errors(tmp_path, argv)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("note: square-summability proxy fails"), proc.stderr
+    csv = (tmp_path / "out").read_bytes()
+    plain = tmp_path / "plain.csv"
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert plain.read_bytes() == csv
 
 
 def test_large_market_long_horizon_nonincreasing(tmp_path):

@@ -199,7 +199,7 @@ def test_wealth_central_moments_against_mc(mix):
     p = ReducedPoint(0.45, 0.3, 0.9)
     w0 = 1.2
     draws = 4_000_000
-    z = mix.sample(draws, seed=77)
+    z = mix.sample(draws, np.random.Generator(np.random.Philox(key=77)))
     g = np.random.Generator(np.random.Philox(key=78)).standard_normal(draws)
     dev = w0 * p.rho * (math.sqrt(tm.a_scalar) * p.phi * (z - mix.mean) + np.sqrt(z) * g)
     table = MomentTable.build(mix, 6)
@@ -298,7 +298,7 @@ def test_m_objective_quadratic_matches_mc(rng):
     est = mc_oracle.mc_expected_utility(
         m, mc_oracle.sample_returns(m, e, 2_000_000, 21), u, x, 1.0
     )
-    assert est.within(val, 3.0)
+    assert abs(est.estimate - val) <= 3.0 * est.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ def decay_spec(max_n=64, **overrides):
         beta_bar_seq=lambda i: 1.0,
         mix=MIX,
         max_n=max_n,
-        cauchy_tol=1.0,
     )
     kw.update(overrides)
     return LargeMarketSpec(**kw)
@@ -89,19 +87,6 @@ def test_short_array_rejected():
         )
 
 
-def test_cauchy_proxy_warning():
-    with pytest.warns(UserWarning, match="square-summability"):
-        LargeMarketSpec(
-            gamma_seq=lambda i: 1.0 / i**2,
-            mu_seq=lambda i: 1.0 / i**2,
-            beta_seq=lambda i: 1.0,  # index loadings do not decay
-            beta_bar_seq=lambda i: 1.0,
-            mix=MIX,
-            max_n=16,
-            cauchy_tol=1e-3,
-        )
-
-
 # ---------------------------------------------------------------------------
 # factor drifts b_i
 # ---------------------------------------------------------------------------
@@ -118,16 +103,14 @@ def test_b1_zero_when_no_premium():
 def test_b_values_hand_checked():
     # gamma_i = mu_i = 1/i^2, beta_i = beta_bar_i = 1, z = 1:
     # b1(1) = -(1 + 1) = -2; b2(1) = -1/4 - 1/4 + 2 = 3/2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        spec = LargeMarketSpec(
-            gamma_seq=lambda i: 1.0 / i**2,
-            mu_seq=lambda i: 1.0 / i**2,
-            beta_seq=lambda i: 1.0,
-            beta_bar_seq=lambda i: 1.0,
-            mix=MIX,
-            max_n=4,
-        )
+    spec = LargeMarketSpec(
+        gamma_seq=lambda i: 1.0 / i**2,
+        mu_seq=lambda i: 1.0 / i**2,
+        beta_seq=lambda i: 1.0,
+        beta_bar_seq=lambda i: 1.0,
+        mix=MIX,
+        max_n=4,
+    )
     assert b_function(spec, 1, 1.0) == pytest.approx(-2.0, rel=1e-14)
     assert b_function(spec, 2, 1.0) == pytest.approx(1.5, rel=1e-14)
 
@@ -471,7 +454,7 @@ def reference_segment(spec, n):
 
 def reference_d(spec, i):
     """d_i from b_function at the support's ends and its stationary point."""
-    lo, hi = spec.z_bounds
+    lo, hi = spec.mix.support()
     candidates = [lo, hi]
     mu_p, gamma_p = reference_segment(spec, i)
     a, b = -gamma_p[i - 1], -mu_p[i - 1]
@@ -492,7 +475,6 @@ def seeded_power_spec(seed, max_n=1024, **overrides):
         beta_bar_seq=lambda i: 1.0,
         mix=BoundedUniform(0.5, 1.5),
         max_n=max_n,
-        cauchy_tol=1.0,
     )
     kw.update(overrides)
     return LargeMarketSpec(**kw)
@@ -524,7 +506,7 @@ def test_vector_cases_cover_the_stationary_point():
     # too, so the exact match above shows that z* never raises d_i: it is
     # where |b_i| is smallest
     def inside(spec):
-        lo, hi = spec.z_bounds
+        lo, hi = spec.mix.support()
         z_star = spec.mu_p / spec.gamma_p
         return int(np.count_nonzero((lo < z_star) & (z_star < hi)))
 

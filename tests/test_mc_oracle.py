@@ -11,7 +11,6 @@ from nmvmopt import exp_opt, mc_oracle
 from nmvmopt.mixing import Constant, Exponential
 from nmvmopt.model import MarketModel
 from nmvmopt.mc_oracle import (
-    McEstimate,
     block_mean,
     brute_force_optimize,
     cov_stderr,
@@ -233,12 +232,6 @@ def test_brute_force_recovers_gaussian_optimum():
         m, sample_returns(m, Constant(1.0), 1_000_000, 7), _neg_exp, box=[(-2.0, 2.0)] * 2
     ).x
     assert np.allclose(got, want, atol=1e-3)
-
-
-def test_estimate_within_helper():
-    e = McEstimate(1.0, 0.1)
-    assert e.within(1.25, 3.0)
-    assert not e.within(1.5, 3.0)
 
 
 def test_brute_force_with_quadratic_utility_derivatives():

@@ -22,7 +22,6 @@ from nmvmopt.mixing import (
     BoundedUniform,
     Constant,
     Exponential,
-    bessel_k,
     log_bessel_k,
 )
 
@@ -256,7 +255,7 @@ def test_mixed_central_moment_spot_values():
 
 def test_mixed_central_moment_against_sampling():
     g = GIG(-0.5, 1.0, 1.0)
-    z = g.sample(2_000_000, seed=99)
+    z = g.sample(2_000_000, np.random.Generator(np.random.Philox(key=99)))
     for i, p in ((2, 1.0), (3, 0.5)):
         target = g.mixed_central_moment(i, p)
         emp = (z - g.mean) ** i * z**p
@@ -399,20 +398,20 @@ def test_log_bessel_quadrature_route():
 
 
 def test_constant_sampling():
-    assert np.array_equal(Constant(1.0).sample(5, seed=123), np.ones(5))
+    assert np.array_equal(Constant(1.0).sample(5, np.random.Generator(np.random.Philox(key=123))), np.ones(5))
 
 
 def test_sampling_deterministic_per_seed():
     for mix in (Exponential(1.0), GIG(0.7, 1.0, 2.0), BoundedUniform(0.5, 1.5)):
-        a = mix.sample(64, seed=7)
-        b = mix.sample(64, seed=7)
-        c = mix.sample(64, seed=8)
+        a = mix.sample(64, np.random.Generator(np.random.Philox(key=7)))
+        b = mix.sample(64, np.random.Generator(np.random.Philox(key=7)))
+        c = mix.sample(64, np.random.Generator(np.random.Philox(key=8)))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
 
 def test_exponential_sample_mean_lln():
-    z = Exponential(1.0).sample(1_000_000, seed=42)
+    z = Exponential(1.0).sample(1_000_000, np.random.Generator(np.random.Philox(key=42)))
     assert abs(z.mean() - 1.0) < 3.0 / math.sqrt(z.size)
 
 
@@ -420,7 +419,7 @@ def test_exponential_sample_mean_lln():
     "mix", [GIG(-0.5, 1.0, 1.0), GIG(1.0, 0.5, 2.0), GIG(-2.0, 2.0, 0.5)]
 )
 def test_gig_sample_moments(mix):
-    z = mix.sample(1_000_000, seed=5)
+    z = mix.sample(1_000_000, np.random.Generator(np.random.Philox(key=5)))
     assert np.all(z > 0)
     se = z.std() / math.sqrt(z.size)
     assert abs(z.mean() - mix.moment(1.0)) < 3.0 * se
@@ -430,7 +429,7 @@ def test_gig_sample_moments(mix):
 
 def test_sample_count_validation():
     with pytest.raises(ValueError):
-        Exponential(1.0).sample(0, seed=1)
+        Exponential(1.0).sample(0, np.random.Generator(np.random.Philox(key=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,24 +438,24 @@ def test_sample_count_validation():
 
 
 def test_bessel_half_order_closed_form():
-    assert bessel_k(0.5, 2.0) == pytest.approx(
+    assert math.exp(log_bessel_k(0.5, 2.0)) == pytest.approx(
         math.sqrt(math.pi / 4.0) * math.exp(-2.0), rel=1e-12
     )
 
 
 def test_bessel_symmetry():
     for lam, x in ((0.5, 2.0), (1.3, 0.8), (2.7, 4.0)):
-        assert bessel_k(lam, x) == bessel_k(-lam, x)
+        assert math.exp(log_bessel_k(lam, x)) == math.exp(log_bessel_k(-lam, x))
 
 
 def test_bessel_against_integral_representation():
     for lam, x in ((1.3, 0.8), (0.0, 1.0), (2.0, 3.5), (-0.7, 0.4)):
-        assert bessel_k(lam, x) == pytest.approx(bessel_quad(lam, x), rel=1e-9)
+        assert math.exp(log_bessel_k(lam, x)) == pytest.approx(bessel_quad(lam, x), rel=1e-9)
 
 
 def test_bessel_frozen_oracle_value():
     # frozen from the integral-representation quadrature oracle
-    assert bessel_k(1.3, 0.8) == pytest.approx(1.1380019853259997, rel=1e-9)
+    assert math.exp(log_bessel_k(1.3, 0.8)) == pytest.approx(1.1380019853259997, rel=1e-9)
 
 
 @given(
@@ -465,16 +464,16 @@ def test_bessel_frozen_oracle_value():
 )
 @settings(max_examples=200, deadline=None)
 def test_bessel_recurrence(lam, x):
-    lhs = bessel_k(lam + 1.0, x)
-    rhs = bessel_k(lam - 1.0, x) + (2.0 * lam / x) * bessel_k(lam, x)
+    lhs = math.exp(log_bessel_k(lam + 1.0, x))
+    rhs = math.exp(log_bessel_k(lam - 1.0, x)) + (2.0 * lam / x) * math.exp(log_bessel_k(lam, x))
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_bessel_domain_error():
     with pytest.raises(MixingDomainError):
-        bessel_k(1.0, 0.0)
+        log_bessel_k(1.0, 0.0)
     with pytest.raises(MixingDomainError):
-        bessel_k(1.0, -2.0)
+        log_bessel_k(1.0, -2.0)
 
 
 def test_log_bessel_large_argument():

@@ -122,6 +122,14 @@ def _number(v, where: str) -> float:
     return float(v)
 
 
+def _finite(v, where: str) -> float:
+    """A finite JSON number (json reads NaN and Infinity) as a float."""
+    value = _number(v, where)
+    if not math.isfinite(value):
+        raise SpecFileError(f"{where} must be finite, got {value!r}")
+    return value
+
+
 def _integer(v, where: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise SpecFileError(f"{where} must be an integer, got {v!r}")
@@ -209,18 +217,22 @@ def parse_sequence(block: dict, where: str):
     kind = block["kind"]
     if kind == "power":
         _require_keys(block, {"kind": True, "kappa": True, "p": True}, where)
-        kappa, p = _number(block["kappa"], f"{where}.kappa"), _number(block["p"], f"{where}.p")
+        kappa, p = _finite(block["kappa"], f"{where}.kappa"), _finite(block["p"], f"{where}.p")
         return lambda i: kappa / i**p
     if kind == "constant":
         _require_keys(block, {"kind": True, "value": True}, where)
-        value = _number(block["value"], f"{where}.value")
+        value = _finite(block["value"], f"{where}.value")
         return lambda i: value
     if kind == "array":
         _require_keys(block, {"kind": True, "values": True}, where)
         values = block["values"]
         if not isinstance(values, list):
             raise SpecFileError(f"'values' in {where} must be a list")
-        return _vector(values, len(values), f"{where}.values")
+        values = _vector(values, len(values), f"{where}.values")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise SpecFileError(f"{where}.values[{bad[0]}] must be finite, got {values[bad[0]]}")
+        return values
     raise SpecFileError(
         f"unknown sequence kind '{kind}' in {where} (expected power, constant or array)"
     )

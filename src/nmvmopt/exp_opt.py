@@ -49,6 +49,7 @@ __all__ = [
 _EDGE = 1e-9
 _XATOL = 1e-12
 _GRID_POINTS = 33
+_FULL_PROBLEM = (-math.inf, 0.0)  # the theta-domain of the unconstrained optimum
 
 
 @dataclass(frozen=True)
@@ -85,18 +86,31 @@ def log_h_function(tm: TransformedModel, mix: MixingDistribution, theta: float) 
     return tm.c_scalar * theta + mix.log_laplace(s)
 
 
-def _default_left_edge(tm, log_h) -> float:
-    """Left end of the search interval for the full problem."""
+def _search_interval(tm, log_h, domain) -> tuple[float, float]:
+    """The closed theta-interval holding the minimum of H over ``domain``:
+    both ends kept inside (-theta0, theta0); an infinite upper end cut to
+    max(lo, 0), as H increases for theta >= 0; an infinite lower end moved
+    left by doubling until H stops decreasing, capped at the upper end."""
+    lo, hi = float(domain[0]), float(domain[1])
     if math.isfinite(tm.theta0):
-        return -tm.theta0 + _EDGE * max(1.0, tm.theta0)
-    # theta0 = +inf: expand leftward until H stops decreasing at the edge
-    left, at_left = 1.0, log_h(-1.0)
-    for _ in range(200):
-        further = log_h(-2.0 * left)
-        if further > at_left:
-            return -2.0 * left
-        left, at_left = 2.0 * left, further
-    raise RuntimeError("h-function appears to decrease indefinitely")  # pragma: no cover
+        edge = tm.theta0 - _EDGE * max(1.0, tm.theta0)
+        lo, hi = max(lo, -edge), min(hi, edge)
+    if hi == math.inf:
+        hi = max(lo, 0.0)
+    if lo > hi or (math.isinf(lo) and lo == hi):
+        raise InfeasiblePortfolioError(
+            f"q-domain [{domain[0]}, {domain[1]}] does not intersect "
+            f"(-theta0, theta0) = (-{tm.theta0}, {tm.theta0})"
+        )
+    if lo == -math.inf:
+        left, at_left = 1.0, log_h(-1.0)
+        for _ in range(200):
+            further = log_h(-2.0 * left)
+            if further > at_left:
+                return min(-2.0 * left, hi), hi
+            left, at_left = 2.0 * left, further
+        raise RuntimeError("h-function appears to decrease indefinitely")  # pragma: no cover
+    return lo, hi
 
 
 def _minimize_on_interval(log_h, stationarity, lo: float, hi: float):
@@ -136,39 +150,24 @@ def _stationarity(tm, mix, theta: float) -> float:
     return 1.0 - theta * mix.laplace_log_deriv(s)
 
 
-def _minimize_h_impl(tm, mix, domain=None):
+def minimize_h(
+    tm: TransformedModel, mix: MixingDistribution, domain=None
+) -> tuple[float, SolverInfo]:
+    """Global minimizer of H on the closure of ``domain``, a (lo, hi)
+    theta-interval whose ends may be infinite (None: the full problem), and
+    how it was found.  ``boundary_pinned``: the full problem's minimizer
+    sits at the left end of the search interval."""
+    full = domain is None
     log_h = lambda t: log_h_function(tm, mix, t)
-    if domain is None:
-        lo = _default_left_edge(tm, log_h)
-        hi = 0.0
-    else:
-        lo, hi = float(domain[0]), float(domain[1])
-        if math.isfinite(tm.theta0):
-            edge = tm.theta0 - _EDGE * max(1.0, tm.theta0)
-            lo, hi = max(lo, -edge), min(hi, edge)
-        if lo > hi:
-            raise InfeasiblePortfolioError(
-                f"q-domain [{domain[0]}, {domain[1]}] does not intersect "
-                f"(-theta0, theta0) = (-{tm.theta0}, {tm.theta0})"
-            )
+    lo, hi = _search_interval(tm, log_h, _FULL_PROBLEM if full else domain)
     if lo >= 0.0:
         # all-nonnegative domain: H strictly increasing there, minimum at its left end
         return lo, SolverInfo(1, (lo, hi), 0.0, "monotone-left-endpoint")
     theta, _, evals = _minimize_on_interval(
         log_h, lambda t: _stationarity(tm, mix, t), lo, hi
     )
-    pinned = abs(theta - lo) <= 2.0 * _XATOL and domain is None
+    pinned = full and abs(theta - lo) <= 2.0 * _XATOL
     return theta, SolverInfo(evals, (lo, hi), _XATOL, "grid+bounded-brent", pinned)
-
-
-def minimize_h(tm: TransformedModel, mix: MixingDistribution, domain=None) -> float:
-    """Global minimizer of H on the closure of ``domain``.
-
-    ``domain`` is a (lo, hi) interval in theta, or None for the full
-    problem, in which case the search interval is (-theta0, 0].
-    """
-    q, _ = _minimize_h_impl(tm, mix, domain)
-    return q
 
 
 def solve_foc(tm: TransformedModel, mix: MixingDistribution) -> tuple[float, float]:
@@ -187,7 +186,7 @@ def solve_foc(tm: TransformedModel, mix: MixingDistribution) -> tuple[float, flo
     if tm.c_scalar <= 0:
         raise DegenerateModelError("solve_foc requires c_scalar > 0")
 
-    lo = _default_left_edge(tm, lambda t: log_h_function(tm, mix, t))
+    lo, _ = _search_interval(tm, lambda t: log_h_function(tm, mix, t), _FULL_PROBLEM)
     try:
         theta_star = brentq(lambda t: _stationarity(tm, mix, t), lo, -1e-14, xtol=1e-14)
     except ValueError as exc:
@@ -236,16 +235,10 @@ def optimize(
     tm = transform(model, mix)
     degenerate_check(tm)
     q_domain = None
-    if domain is not None:
-        c_lo, c_hi = float(domain[0]), float(domain[1])
-        if c_lo > c_hi:
-            raise ValueError(f"empty c-interval ({c_lo}, {c_hi})")
+    if domain is not None:  # q falls as c rises
         aw = a * w0
-        q_domain = (
-            (tm.b_scalar - aw * c_hi) / tm.c_scalar,
-            (tm.b_scalar - aw * c_lo) / tm.c_scalar,
-        )
-    q_min, info = _minimize_h_impl(tm, mix, q_domain)
+        q_domain = tuple((tm.b_scalar - aw * c) / tm.c_scalar for c in domain[::-1])
+    q_min, info = minimize_h(tm, mix, q_domain)
     x_star = optimal_portfolio(tm, model, a, w0, q_min)
     pf = Portfolio(x=x_star, w0=w0, a=a)
     log_neg = log_neg_expected_exp_utility(model, mix, pf)

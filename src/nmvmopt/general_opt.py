@@ -375,74 +375,76 @@ def _clip_cosine(v: float) -> float:
     return (v if v < 1.0 else 1.0) if v > -1.0 else -1.0
 
 
-class _SpanBasis:
-    """Orthonormal basis of span{gamma0, mu0} plus one deterministic
-    orthogonal-complement direction (when the dimension allows one).
+def _clipped_point(phi: float, psi: float, rho: float) -> ReducedPoint:
+    """ReducedPoint(phi, psi, rho) for cosines already clipped to [-1, 1]
+    and a rho that is a norm, built without re-checking them."""
+    point = object.__new__(ReducedPoint)
+    fields = point.__dict__
+    fields["phi"], fields["psi"], fields["rho"] = phi, psi, rho
+    return point
 
-    The first basis vector is gamma0-hat whenever gamma0 is nonzero, so in
-    span coordinates c: phi rho = c_0, psi rho = mu0-hat . c and rho = |c|.
+
+class _SpanBasis:
+    """Orthonormal basis of span{gamma0, mu0} (the first ``k`` rows of
+    ``axes``) plus, if ``perp``, one deterministic orthogonal-complement
+    direction.  The first axis is gamma0-hat whenever gamma0 is nonzero, so
+    in span coordinates c: phi rho = c_0, psi rho = mu0-hat . c, rho = |c|.
     """
 
     def __init__(self, tm: TransformedModel):
-        self.tm = tm
         n = tm.mu0.shape[0]
         self.g_norm = math.sqrt(tm.a_scalar)
         self.m_norm = math.sqrt(tm.c_scalar)
-        vecs = []
+        self.cos = tm.gamma_mu_cos
+        axes = []
         if self.g_norm > _SPAN_TOL:
-            vecs.append(tm.gamma0 / self.g_norm)
+            axes.append(tm.gamma0 / self.g_norm)
         if self.m_norm > _SPAN_TOL:
             u = tm.mu0 / self.m_norm
-            for v in vecs:
+            for v in axes:
                 u = u - (u @ v) * v
             nrm = np.linalg.norm(u)
             if nrm > 1e-8:
-                vecs.append(u / nrm)
-        self.span = vecs
+                axes.append(u / nrm)
+        self.k = len(axes)
         # psi is slaved to phi when both vectors are there but span one line
-        self.parallel = self.g_norm > _SPAN_TOL and self.m_norm > _SPAN_TOL and len(vecs) == 1
-        self.perp = None
-        if n > len(vecs):
+        self.parallel = self.g_norm > _SPAN_TOL and self.m_norm > _SPAN_TOL and self.k == 1
+        if n > self.k:
             for i in range(n):
                 e = np.zeros(n)
                 e[i] = 1.0
-                for v in vecs:
+                for v in axes:  # the span vectors: the loop ends once one is added
                     e = e - (e @ v) * v
                 nrm = np.linalg.norm(e)
                 if nrm > 1e-6:
-                    self.perp = e / nrm
+                    axes.append(e / nrm)
                     break
-        axes = vecs + ([self.perp] if self.perp is not None else [])
+        self.perp = len(axes) > self.k
         self.axes = np.array(axes).reshape(len(axes), n)
         # mu0-hat in span coordinates (None when mu0 vanishes)
         self.mu_hat = (
             [float(v @ tm.mu0) / self.m_norm for v in axes] if self.m_norm > _SPAN_TOL else None
         )
 
-    @property
-    def dim(self) -> int:
-        return len(self.span) + (1 if self.perp is not None else 0)
-
     def point_of(self, coords: list) -> ReducedPoint:
         """Reduced point of y = sum coords_i basis_i (a list of floats), the
         complement coordinate taken by its absolute value (always feasible)."""
-        if self.perp is not None:
+        if self.perp:
             coords = [*coords[:-1], abs(coords[-1])]
         rho = math.hypot(*coords)
         if rho == 0.0:
-            return ReducedPoint(0.0, 0.0, 0.0)
+            return _clipped_point(0.0, 0.0, 0.0)
         phi = coords[0] / rho if self.g_norm > _SPAN_TOL else 0.0
         psi = sum(map(operator.mul, self.mu_hat, coords)) / rho if self.mu_hat else 0.0
-        return ReducedPoint(_clip_cosine(phi), _clip_cosine(psi), rho)
+        return _clipped_point(_clip_cosine(phi), _clip_cosine(psi), rho)
 
     def coords_of_y(self, y: np.ndarray) -> list:
         """Span coordinates of y, with the norm of its out-of-span part as
         the complement coordinate."""
-        k = len(self.span)
-        span_c = self.axes[:k] @ y
-        if self.perp is None:
+        span_c = self.axes[: self.k] @ y
+        if not self.perp:
             return span_c.tolist()
-        rest = float(np.linalg.norm(y - span_c @ self.axes[:k]))
+        rest = float(np.linalg.norm(y - span_c @ self.axes[: self.k]))
         return [*span_c.tolist(), rest]
 
     def lift(self, phi: float, psi: float, rho: float) -> tuple[np.ndarray, float]:
@@ -452,23 +454,17 @@ class _SpanBasis:
         deficit is negative; it is -inf when gamma0 is parallel to mu0 and
         psi is not the cosine phi then forces.  A cosine against a
         vanishing vector is ignored."""
-        span_c = self._span_coeffs(phi, psi, rho)
-        if self.parallel and abs(psi - self.tm.gamma_mu_cos * phi) > _COS_TOL:
+        if self.k == 2:  # both vectors, gamma0-hat first
+            t = math.sqrt(max(0.0, 1.0 - self.cos * self.cos))
+            c2 = (psi - phi * self.cos) * rho / t if t > 1e-12 else 0.0
+            span_c = np.array([phi * rho, c2])
+        elif self.k == 1:  # gamma0 alone or mu0 parallel to it, else mu0 alone
+            span_c = np.array([(phi if self.g_norm > _SPAN_TOL else psi) * rho])
+        else:
+            span_c = np.zeros(0)
+        if self.parallel and abs(psi - self.cos * phi) > _COS_TOL:
             return span_c, -math.inf
         return span_c, rho * rho - float(span_c @ span_c)
-
-    def _span_coeffs(self, phi: float, psi: float, rho: float) -> np.ndarray:
-        if self.g_norm > _SPAN_TOL and len(self.span) == 2:
-            r = self.tm.gamma_mu_cos
-            t = math.sqrt(max(0.0, 1.0 - r * r))
-            c1 = phi * rho
-            c2 = (psi - phi * r) * rho / t if t > 1e-12 else 0.0
-            return np.array([c1, c2])
-        if self.g_norm > _SPAN_TOL:  # gamma0 alone, or mu0 parallel to it
-            return np.array([phi * rho])
-        if self.m_norm > _SPAN_TOL:
-            return np.array([psi * rho])
-        return np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +535,9 @@ class _BallMap:
         return (v * (math.atanh(t) / size)).tolist()
 
 
+# one errstate per search, not per utility call: seeds far outside the
+# exp-feasible ball overflow np.exp(-a w), and score -inf like any non-finite probe
+@np.errstate(over="ignore")
 def optimize_3d(
     tm: TransformedModel,
     table: MomentTable,
@@ -566,7 +565,7 @@ def optimize_3d(
     """
     domain = domain or ReducedDomain()
     basis = _SpanBasis(tm)
-    search = _BallMap(basis.dim, domain)
+    search = _BallMap(len(basis.axes), domain)
 
     def objective(u) -> float:
         p = basis.point_of(search.coords(u))
@@ -575,17 +574,17 @@ def optimize_3d(
         v = m_objective(p, utility, order, tm, table, w0, r_f)
         return v if math.isfinite(v) else -math.inf
 
-    seeds = [np.zeros(basis.dim)]
+    seeds = [np.zeros(len(basis.axes))]
     for phi in np.linspace(*domain.phi, _LATTICE[0]):
         for psi in np.linspace(*domain.psi, _LATTICE[1]):
             for rho in np.linspace(*domain.rho, _LATTICE[2]):
                 span_c, deficit = basis.lift(phi, psi, rho)
-                if deficit < 0.0 or basis.perp is None:  # project: span part scaled to rho
+                if deficit < 0.0 or not basis.perp:  # project: span part scaled to rho
                     norm2 = float(span_c @ span_c)
                     if norm2 > 0:
                         span_c = span_c * (rho / math.sqrt(norm2))
                     deficit = 0.0
-                if basis.perp is not None:
+                if basis.perp:
                     span_c = np.append(span_c, math.sqrt(deficit))
                 seeds.append(span_c)
     uniq = {}
@@ -645,12 +644,12 @@ def reconstruct_portfolio(
             f"no portfolio has (phi, psi, rho) = ({point.phi:.6g}, {point.psi:.6g}, "
             f"{point.rho:.6g}): the cosines violate Gram feasibility"
         )
-    if deficit > tol and basis.perp is None:
+    if deficit > tol and not basis.perp:
         raise InfeasiblePointError(
             f"point needs an out-of-span component of norm {math.sqrt(deficit):.6g} "
             "but the market has no orthogonal directions left (rank-deficient case)"
         )
-    coords = list(span_c) + ([math.sqrt(max(deficit, 0.0))] if basis.perp is not None else [])
+    coords = list(span_c) + ([math.sqrt(max(deficit, 0.0))] if basis.perp else [])
     return np.linalg.solve(model.a_matrix.T, np.array(coords) @ basis.axes)
 
 

@@ -82,34 +82,45 @@ class LargeMarketSpec:
                 f"large market requires a bounded mixing support inside (0, inf), "
                 f"got [{lo}, {hi}] from {self.mix!r}"
             )
-        gamma = _materialize(self.gamma_seq, self.max_n)
-        mu = _materialize(self.mu_seq, self.max_n)
-        beta_bar = _materialize(self.beta_bar_seq, self.max_n)
-        beta = np.zeros(self.max_n)
-        if self.max_n >= 2:
-            beta[1:] = _materialize(self.beta_seq, self.max_n, start=2)
+        try:
+            gamma = _materialize(self.gamma_seq, self.max_n)
+            mu = _materialize(self.mu_seq, self.max_n)
+            beta_bar = _materialize(self.beta_bar_seq, self.max_n)
+            beta = np.zeros(self.max_n)
+            if self.max_n >= 2:
+                beta[1:] = _materialize(self.beta_seq, self.max_n, start=2)
+        except (OverflowError, ZeroDivisionError) as exc:  # kappa / i**p beyond float range
+            raise ValueError(f"a coefficient sequence overflows a float ({exc})") from exc
         if np.any(beta_bar == 0.0):
             raise ValueError("beta_bar coefficients must all be nonzero")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "beta_bar", beta_bar)
-        ratio = beta / beta_bar
-        mu_p = mu / beta_bar - ratio * (mu[0] / beta_bar[0])
-        gamma_p = gamma / beta_bar - ratio * (gamma[0] / beta_bar[0])
-        mu_p[0] = mu[0] / beta_bar[0]
-        gamma_p[0] = gamma[0] / beta_bar[0]
-        object.__setattr__(self, "mu_p", mu_p)
-        object.__setattr__(self, "gamma_p", gamma_p)
-        # d_i = sup over the support of |b_i(z)| = |gamma'_i sqrt(z) + mu'_i/sqrt(z)|:
-        # in sqrt(z) that is convex where gamma'_i, mu'_i share a sign (the
-        # stationary point z = mu'_i/gamma'_i is its minimum) and V-shaped
-        # where they do not, so the supremum sits at an end of the support
-        every = slice(None)
-        d = np.maximum(
-            np.abs(_drift(self, every, np.sqrt(lo))), np.abs(_drift(self, every, np.sqrt(hi)))
-        )
+        with np.errstate(all="ignore"):  # beyond float range is rejected below
+            ratio = beta / beta_bar
+            mu_p = mu / beta_bar - ratio * (mu[0] / beta_bar[0])
+            gamma_p = gamma / beta_bar - ratio * (gamma[0] / beta_bar[0])
+            mu_p[0] = mu[0] / beta_bar[0]
+            gamma_p[0] = gamma[0] / beta_bar[0]
+            object.__setattr__(self, "mu_p", mu_p)
+            object.__setattr__(self, "gamma_p", gamma_p)
+            # d_i = sup over the support of |b_i(z)| = |gamma'_i sqrt(z) + mu'_i/sqrt(z)|:
+            # in sqrt(z) that is convex where gamma'_i, mu'_i share a sign (the
+            # stationary point z = mu'_i/gamma'_i is its minimum) and V-shaped
+            # where they do not, so the supremum sits at an end of the support
+            every = slice(None)
+            d = np.maximum(
+                np.abs(_drift(self, every, np.sqrt(lo))), np.abs(_drift(self, every, np.sqrt(hi)))
+            )
+            d2 = d * d  # d2_tail squares each d_i
         object.__setattr__(self, "d", d)
+        for name, values in (("gamma", gamma), ("mu", mu), ("beta", beta),
+                             ("beta_bar", beta_bar), ("effective mu'", mu_p),
+                             ("effective gamma'", gamma_p), ("d", d), ("d^2", d2)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name} is not finite at asset {bad[0] + 1} ({values[bad[0]]})")
 
 
 def _check_z(spec: LargeMarketSpec, z) -> np.ndarray:
@@ -187,7 +198,7 @@ def _segment_optimum(spec: LargeMarketSpec, n: int) -> tuple[TransformedModel, f
     """The n-asset segment's scalars and H minimizer; None when it has no
     excess drift to trade against, where the optimum is h = gamma'."""
     tm = segment_scalars(spec, n)
-    return tm, (None if tm.c_scalar <= 1e-300 else minimize_h(tm, spec.mix))
+    return tm, (None if tm.c_scalar <= 1e-300 else minimize_h(tm, spec.mix)[0])
 
 
 def u_n(spec: LargeMarketSpec, n: int) -> float:

@@ -85,7 +85,7 @@ def test_criterion_02_exp1_example():
     for _ in range(20):
         a_s, c_s = rng.uniform(0.05, 3.0, 2)
         tm = TransformedModel.from_scalars(float(a_s), float(c_s), 0.0, -1.0)
-        q = minimize_h(tm, e)
+        q = minimize_h(tm, e)[0]
         _, theta = solve_foc(tm, e)
         worst = max(worst, abs(q - theta))
     assert worst < 1e-8

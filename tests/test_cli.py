@@ -504,9 +504,24 @@ def test_general_opt_order_beyond_float_range_is_an_input_error(tmp_path, spec, 
     (["exp-opt"], "exp1", ("domain",), {"c_interval": [math.nan, 0.5]}, "c_interval"),
     (["general-opt"], "exp1", ("domain",), {"rho": [0.0, math.inf]}, "rho"),
     (["general-opt"], "exp1", ("domain",), {"rho": [0.0, math.nan]}, "rho"),
+    (["large-market"], "large_market", ("large_market", "gamma", "kappa"), math.inf,
+     "large_market.gamma.kappa"),
+    (["large-market"], "large_market", ("large_market", "mu", "p"), -math.inf, "large_market.mu.p"),
+    (["large-market"], "large_market", ("large_market", "mu", "p"), math.nan, "large_market.mu.p"),
+    (["large-market"], "large_market", ("large_market", "beta_bar", "value"), math.inf,
+     "large_market.beta_bar.value"),
+    (["large-market"], "large_market", ("large_market", "beta"),
+     {"kind": "array", "values": [0.1, 0.1, math.nan] + [0.1] * 1020}, "large_market.beta.values[2]"),
+    # finite large-market numbers whose coefficients are beyond float range
+    (["large-market"], "large_market", ("large_market", "mu", "p"), 400, "overflows a float"),
+    (["large-market"], "large_market", ("large_market", "gamma", "kappa"), 1e308, "d^2 is not finite"),
+    (["large-market"], "large_market", ("large_market", "beta_bar", "value"), 5e-324,
+     "effective mu' is not finite"),
+    (["large-market"], "large_market", ("large_market", "mixing", "low"), 5e-324, "d^2 is not finite"),
 ])
 def test_non_finite_spec_number_is_an_input_error(tmp_path, command, spec, path, value, name):
-    # json reads NaN and Infinity, so the model, the mixing law and the domain reject them
+    # json reads NaN and Infinity, so the model, the mixing law, the domain and
+    # the large-market sequences reject them
     raw = json.loads((SPECS / f"{spec}.json").read_text())
     node = raw
     for key in path[:-1]:
@@ -520,6 +535,58 @@ def test_exp_opt_half_open_c_interval(tmp_path):
     raw = json.loads((SPECS / "exp1.json").read_text())
     raw["domain"] = {"c_interval": [-math.inf, 0.5]}
     proc = _run_warnings_as_errors(tmp_path, ["exp-opt", "--spec", write_spec(tmp_path, raw)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+_INFINITE_THETA0_LAWS = [
+    {"kind": "constant", "value": 1.0},
+    {"kind": "bounded_uniform", "low": 0.5, "high": 1.5},
+]
+
+
+@pytest.mark.parametrize("mixing", _INFINITE_THETA0_LAWS)
+@pytest.mark.parametrize("c_interval,code", [
+    ([-math.inf, 0.5], 0), ([0.01, math.inf], 0), ([-math.inf, math.inf], 0),
+    ([math.inf, math.inf], 2), ([-math.inf, -math.inf], 2),
+])
+def test_exp_opt_infinite_c_interval_ends_on_an_unbounded_law(tmp_path, mixing, c_interval, code):
+    # a bounded mixing law has theta0 = inf, so no clip to (-theta0, theta0)
+    # makes an infinite end of the q-interval finite
+    raw = json.loads((SPECS / "gaussian.json").read_text())
+    raw["mixing"] = mixing
+    raw["domain"] = {"c_interval": c_interval}
+    proc = _run_warnings_as_errors(tmp_path, ["exp-opt", "--spec", write_spec(tmp_path, raw)])
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("infeasible problem: "), proc.stderr
+        assert "nan" not in lines[0]
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mixing", _INFINITE_THETA0_LAWS)
+def test_exp_opt_unbounded_c_interval_is_the_full_problem(tmp_path, mixing):
+    raw = json.loads((SPECS / "gaussian.json").read_text())
+    raw["mixing"] = mixing
+    results = []
+    for domain in ({}, {"domain": {"c_interval": [-math.inf, math.inf]}}):
+        out = tmp_path / f"out{len(results)}.json"
+        spec = write_spec(tmp_path, {**raw, **domain}, f"spec{len(results)}.json")
+        assert main(["exp-opt", "--spec", spec, "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text()))
+    for key in ("q_min", "x_star", "expected_utility"):
+        assert results[1][key] == results[0][key]
+
+
+def test_general_opt_exponential_overflow_is_silent(tmp_path):
+    # seeds far outside the exp-feasible ball put np.exp(-a w) beyond float range
+    raw = json.loads((SPECS / "exp1.json").read_text())
+    raw["model"].update(n=2, mu=[1000.0, 0.0], gamma=[0.05, 0.0], a_matrix=[[1.0, 0.0], [0.0, 1.0]])
+    raw["mixing"] = {"kind": "exponential", "rate": 1.0}
+    proc = _run_warnings_as_errors(tmp_path, ["general-opt", "--spec", write_spec(tmp_path, raw)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
 

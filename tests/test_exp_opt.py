@@ -99,32 +99,32 @@ def test_h_diverges_near_boundary():
 def test_minimize_constant_mixing_is_minus_one():
     for a_s, c_s in ((0.5, 0.5), (1.0, 4.0), (2.0, 0.3)):
         tm = TransformedModel.from_scalars(a_s, c_s, 0.0, -math.inf)
-        assert minimize_h(tm, Constant(1.0)) == pytest.approx(-1.0, abs=1e-10)
+        assert minimize_h(tm, Constant(1.0))[0] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_minimize_scaled_constant():
     # Z = v: exponent (C v/2) theta^2 + C theta - v A/2 minimized at -1/v
     tm = TransformedModel.from_scalars(1.0, 2.0, 0.0, -math.inf)
-    assert minimize_h(tm, Constant(2.0)) == pytest.approx(-0.5, abs=1e-10)
+    assert minimize_h(tm, Constant(2.0))[0] == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_minimize_nonnegative_domain_returns_left_end():
     tm = TransformedModel.from_scalars(1.0, 1.0, 0.0, -1.0)
     e = Exponential(1.0)
-    assert minimize_h(tm, e, domain=(0.3, 0.7)) == 0.3
+    assert minimize_h(tm, e, domain=(0.3, 0.7))[0] == 0.3
 
 
 def test_minimize_exp1_unit_scalars_exact():
     # A = C = 1, Exp(1): stationarity 3 - theta^2 + 2 theta = 0 -> theta = -1
     tm = TransformedModel.from_scalars(1.0, 1.0, 0.0, -1.0)
-    assert minimize_h(tm, Exponential(1.0)) == pytest.approx(-1.0, abs=1e-10)
+    assert minimize_h(tm, Exponential(1.0))[0] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_minimize_matches_dense_grid_oracle():
     # independent oracle: vectorized closed-form H for Exp(1) on 1e6 points
     a_s, c_s = 0.7, 1.9
     tm = TransformedModel.from_scalars(a_s, c_s, 0.0, -1.0)
-    q = minimize_h(tm, Exponential(1.0))
+    q = minimize_h(tm, Exponential(1.0))[0]
     theta0 = math.sqrt((a_s + 2.0) / c_s)
     grid = np.linspace(-theta0 + 1e-9, 0.0, 1_000_001)
     h_vals = grid * c_s - np.log(2.0 + a_s - grid**2 * c_s) + math.log(2.0)
@@ -136,8 +136,29 @@ def test_minimize_respects_interval_domain():
     tm = TransformedModel.from_scalars(1.0, 1.0, 0.0, -1.0)
     e = Exponential(1.0)
     # unconstrained optimum is -1; restrict away from it
-    assert minimize_h(tm, e, domain=(-0.5, -0.1)) == pytest.approx(-0.5, abs=1e-10)
-    assert minimize_h(tm, e, domain=(-2.0, -1.5)) == pytest.approx(-1.5, abs=1e-10)
+    assert minimize_h(tm, e, domain=(-0.5, -0.1))[0] == pytest.approx(-0.5, abs=1e-10)
+    assert minimize_h(tm, e, domain=(-2.0, -1.5))[0] == pytest.approx(-1.5, abs=1e-10)
+
+
+def test_minimize_infinite_domain_ends_without_theta0():
+    # Z = 1: log H = theta^2/2 + theta - 1/2 on A = C = 1, minimum at -1
+    tm = TransformedModel.from_scalars(1.0, 1.0, 0.0, -math.inf)
+    mix = Constant(1.0)
+    full = minimize_h(tm, mix)
+    assert minimize_h(tm, mix, (-math.inf, math.inf)) == full
+    assert minimize_h(tm, mix, (-math.inf, -5.0))[0] == -5.0  # doubling capped at the upper end
+    assert minimize_h(tm, mix, (-0.5, math.inf))[0] == pytest.approx(-0.5, abs=1e-10)
+    assert minimize_h(tm, mix, (0.25, math.inf))[0] == 0.25
+    assert not minimize_h(tm, mix, (-math.inf, -5.0))[1].boundary_pinned
+    for empty in ((math.inf, math.inf), (-math.inf, -math.inf), (0.5, -0.5)):
+        with pytest.raises(InfeasiblePortfolioError):
+            minimize_h(tm, mix, empty)
+
+
+def test_optimize_empty_c_interval_is_infeasible():
+    m = MarketModel(2, 0.0, [0.1, 0.2], [0.05, 0.0], np.eye(2))
+    with pytest.raises(InfeasiblePortfolioError):
+        optimize(m, Constant(1.0), domain=(0.5, 0.4))
 
 
 def test_q_min_in_expected_interval(rng):
@@ -145,14 +166,14 @@ def test_q_min_in_expected_interval(rng):
         a_s, c_s = rng.uniform(0.05, 2.0, 2)
         for mix in (Exponential(1.0), GIG(-0.5, 1.0, 1.0)):
             tm = TransformedModel.from_scalars(a_s, c_s, 0.0, mix.s_lower_bound)
-            q = minimize_h(tm, mix)
+            q = minimize_h(tm, mix)[0]
             assert -tm.theta0 < q <= 0.0
 
 
 def test_minimize_optimality_against_random_probes(rng):
     mix = Exponential(1.0)
     tm = TransformedModel.from_scalars(0.9, 1.4, 0.2, mix.s_lower_bound)
-    q = minimize_h(tm, mix)
+    q = minimize_h(tm, mix)[0]
     best = log_g_min(tm, mix, q)
     for _ in range(100):
         probe = rng.uniform(-tm.theta0 * 0.999999, 0.0)
@@ -186,7 +207,7 @@ def test_log_h_convex_on_the_search_grid(mix, a_s, cos_gm, c_s, c_interval):
         c_lo, width = c_interval
         domain = ((b_s - (c_lo + width)) / c_s, (b_s - c_lo) / c_s)
     try:
-        _, info = exp_opt._minimize_h_impl(tm, mix, domain)
+        _, info = minimize_h(tm, mix, domain)
     except InfeasiblePortfolioError:
         return
     if info.method != "grid+bounded-brent":
@@ -218,7 +239,7 @@ def test_foc_agrees_with_minimizer(mix, rng):
     for _ in range(10):
         a_s, c_s = rng.uniform(0.05, 3.0, 2)
         tm = TransformedModel.from_scalars(a_s, c_s, 0.0, mix.s_lower_bound)
-        q = minimize_h(tm, mix)
+        q = minimize_h(tm, mix)[0]
         tau, theta = solve_foc(tm, mix)
         assert theta == pytest.approx(q, abs=1e-8)
         assert tau == pytest.approx(0.5 * a_s - 0.5 * theta**2 * c_s, rel=1e-10)
@@ -239,7 +260,7 @@ def test_foc_boundary_minimum_has_no_root():
     # GIG(-3, 1, 1) has E[Z] = 1/4 at s0, so H still falls at the left edge
     mix = GIG(-3.0, 1.0, 1.0)
     tm = TransformedModel.from_scalars(1.0, 1.0, 0.0, mix.s_lower_bound)
-    assert exp_opt._minimize_h_impl(tm, mix)[1].boundary_pinned
+    assert minimize_h(tm, mix)[1].boundary_pinned
     with pytest.raises(NoRootError):
         solve_foc(tm, mix)
 

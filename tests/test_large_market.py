@@ -1,10 +1,16 @@
+import json
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize as sp_minimize
 
+from nmvmopt import exp_opt
+from nmvmopt.cli import parse_large_market
 from nmvmopt.mixing import BoundedUniform, Constant
+from nmvmopt.model import MarketModel
 from nmvmopt.large_market import (
     LargeMarketSpec,
     b_function,
@@ -85,6 +91,23 @@ def test_short_array_rejected():
             mix=MIX,
             max_n=2,
         )
+
+
+@pytest.mark.parametrize("overrides,match", [
+    # Python's i**p overflows at p = 400; kappa / i**p divides by an underflowed 0 at p = -400
+    (dict(mu_seq=lambda i: 0.5 / i**400.0), "overflows"),
+    (dict(mu_seq=lambda i: 0.5 / i**-400.0), "overflows"),
+    (dict(gamma_seq=lambda i: math.nan), "gamma is not finite at asset 1"),
+    (dict(beta_seq=lambda i: math.inf if i == 5 else 0.3 / i), "beta is not finite at asset 5"),
+    (dict(beta_bar_seq=lambda i: 5e-324), "effective mu' is not finite"),
+    (dict(gamma_seq=lambda i: 1e308 / i**1.1), r"d\^2 is not finite"),
+    (dict(mix=BoundedUniform(5e-324, 1.5)), r"d\^2 is not finite"),
+])
+def test_rejects_coefficients_beyond_float_range(overrides, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            decay_spec(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +580,20 @@ def test_density_matches_per_asset_loop():
     assert martingale_density(spec, n, z[0], eps[0]) == pytest.approx(math.exp(want[0]), rel=1e-13)
     with pytest.raises(ValueError, match="outside"):
         martingale_density(spec, spec.max_n + 1, 1.0, np.zeros(spec.max_n + 1))
+
+
+@pytest.mark.parametrize("n", [4, 64, 256, 512])
+def test_u_n_is_the_optimum_of_the_original_index_market(n):
+    # the paper's reduction: the martingale measure turns the first n assets
+    # into an identity-structure NMVM market with the same optimum.  The
+    # original market is asset 1 = the index, asset i >= 2 loading beta_i on
+    # it plus beta_bar_i on its own noise: A = diag(beta_bar) + beta e_1'.
+    # With a = W0 = 1 and r_f = 0, -E[U] = exp(-1) E[exp(-x'R)], so
+    # -E[U] e is U_n.
+    path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "large_market.json"
+    spec, _, _ = parse_large_market(json.loads(path.read_text())["large_market"])
+    a_matrix = np.diag(spec.beta_bar[:n])
+    a_matrix[:, 0] += spec.beta[:n]
+    model = MarketModel(n, 0.0, spec.mu[:n], spec.gamma[:n], a_matrix)
+    res = exp_opt.optimize(model, spec.mix, a=1.0, w0=1.0)
+    assert -res.optimal_utility * math.e == pytest.approx(u_n(spec, n), rel=1e-12, abs=0.0)

@@ -427,6 +427,20 @@ def test_gig_sample_moments(mix):
     assert abs((z**2).mean() - mix.moment(2.0)) < 4.0 * se2
 
 
+@pytest.mark.parametrize(
+    # the sampler's cut points take a different formula when the envelope
+    # exponent at +-1 is above 2 (GIG(0, 5, 5)) or below 1/2, with lambda = 0
+    # (GIG(0, 0.3, 0.3)) and lambda > 0 (GIG(0.3, 0.2, 0.2))
+    "mix", [GIG(0.0, 5.0, 5.0), GIG(0.0, 0.3, 0.3), GIG(0.3, 0.2, 0.2)]
+)
+def test_gig_sample_moments_beyond_the_unit_cut_points(mix):
+    z = mix.sample(400_000, np.random.Generator(np.random.Philox(key=7)))
+    assert np.all(z > 0)
+    assert abs(z.mean() - mix.mean) < 5.0 * z.std() / math.sqrt(z.size)
+    dev2 = (z - z.mean()) ** 2
+    assert abs(z.var(ddof=1) - mix.variance) < 5.0 * dev2.std() / math.sqrt(z.size)
+
+
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         Exponential(1.0).sample(0, np.random.Generator(np.random.Philox(key=1)))

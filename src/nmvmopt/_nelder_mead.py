@@ -52,9 +52,23 @@ def _by_value(sim: list, fsim: list) -> tuple[list, list]:
     order = sorted(range(len(fsim)), key=fsim.__getitem__)
     ranked = [fsim[i] for i in order]
     if not all(map(operator.lt, ranked, ranked[1:])):
-        order = np.argsort(fsim).tolist()
+        order = np.array(fsim).argsort().tolist()
         ranked = [fsim[i] for i in order]
     return [sim[i] for i in order], ranked
+
+
+def _converged(sim: list, fsim: list, xatol: float, fatol: float) -> bool:
+    """Every vertex within ``xatol`` of the first in each coordinate and
+    within ``fatol`` of it in value; false on any NaN difference."""
+    best, fbest = sim[0], fsim[0]
+    for row in sim[1:]:
+        for a, b in zip(row, best):
+            if not abs(a - b) <= xatol:
+                return False
+    for fv in fsim[1:]:
+        if not abs(fbest - fv) <= fatol:
+            return False
+    return True
 
 
 def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int) -> NelderMeadResult:
@@ -94,11 +108,9 @@ def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int) 
     nit = 1
     while nfev < maxfev and nit < maxiter:
         try:
-            best, fbest = sim[0], fsim[0]
-            if all(abs(a - b) <= xatol for row in sim[1:] for a, b in zip(row, best)) and all(
-                abs(fbest - fv) <= fatol for fv in fsim[1:]
-            ):
+            if _converged(sim, fsim, xatol, fatol):
                 break
+            best = sim[0]
             total = sim[0]
             for row in sim[1:-1]:
                 total = [a + b for a, b in zip(total, row)]

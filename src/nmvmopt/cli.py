@@ -501,7 +501,11 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
     res = exp_opt.optimize(model, mix, a=a, w0=w0)
     utility = general_opt.exponential_utility(a)
     est = mc_oracle.mc_expected_utility(model, returns, utility, res.x_star, w0)
-    zu = abs(est.estimate - res.optimal_utility) / est.stderr
+    diff = abs(est.estimate - res.optimal_utility)
+    if est.stderr == 0.0:  # every sampled utility equal: any difference is infinitely many se
+        zu = 0.0 if diff == 0.0 else math.inf
+    else:
+        zu = diff / est.stderr
     check(
         "closed-form-utility",
         zu < 3.0,

@@ -19,7 +19,8 @@ class DegenerateModelError(ValueError):
 
 
 class InfeasiblePortfolioError(ValueError):
-    """Portfolio lies outside the finite-expected-utility set."""
+    """Portfolio lies outside the finite-expected-utility set, or no
+    portfolio in it is optimal."""
 
 
 class InfeasiblePointError(ValueError):

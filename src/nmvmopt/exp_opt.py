@@ -109,7 +109,10 @@ def _search_interval(tm, log_h, domain) -> tuple[float, float]:
             if further > at_left:
                 return min(-2.0 * left, hi), hi
             left, at_left = 2.0 * left, further
-        raise RuntimeError("h-function appears to decrease indefinitely")  # pragma: no cover
+        raise InfeasiblePortfolioError(
+            f"no finite optimal portfolio: H still decreases at theta = {-left:.6g} "
+            "after 200 doublings"
+        )
     return lo, hi
 
 

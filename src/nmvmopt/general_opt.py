@@ -51,6 +51,9 @@ _SPAN_TOL = 1e-12
 _GRAM_TOL = 1e-9  # on rho^2 - |span part|^2, relative to max(1, rho^2)
 _COS_TOL = 1e-9  # on psi when gamma0 is parallel to mu0
 _EXP_MARGIN = 0.98  # share of the Laplace bound s0 the exp-feasible ball keeps
+# k! as a float, for every k whose factorial a float holds (171! overflows);
+# MomentTable.build rejects a higher order
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(171))
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +68,26 @@ def _check_parameter(utility: str, name: str, value: float) -> None:
         raise ValueError(f"{utility} utility requires a finite {name} > 0, got {value}")
 
 
+class _PerK(dict):
+    """A utility's per-k constants: ``table[k]`` is ``make(k)``, computed
+    on the first lookup of k."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, k):
+        value = self[k] = self.make(k)
+        return value
+
+
 def exponential_utility(a: float):
     """U(w) = -exp(-a w), a > 0."""
     _check_parameter("exponential", "a", a)
+    coeffs = _PerK(lambda k: -((-a) ** k))
 
     def utility(k, w):
-        return -((-a) ** k) * np.exp(-a * w)
+        return coeffs[k] * np.exp(-a * w)
 
     return utility
 
@@ -82,22 +99,30 @@ def power_utility(eta: float):
         raise ValueError("power utility requires eta != 1, got 1.0 (that is log utility)")
     e0 = 1.0 - eta
 
-    def formula(w, k):
+    def factors(k):
+        # U^(k)(w) = coeff w^(e0 - k) / e0, coeff = e0 (e0 - 1) ... (e0 - k + 1)
         coeff = 1.0
         for j in range(k):
             coeff *= e0 - j
-        return coeff * w ** (e0 - k) / e0
+        return coeff, e0 - k
+
+    terms = _PerK(factors)
+
+    def formula(w, k):
+        coeff, exponent = terms[k]
+        return coeff * w**exponent / e0
 
     return _on_positive_wealth(formula)
 
 
 def log_utility():
     """U(w) = ln w on w > 0."""
+    coeffs = _PerK(lambda k: (-1.0) ** (k - 1) * math.factorial(k - 1))
 
     def formula(w, k):
         if k == 0:
             return math.log(w) if isinstance(w, float) else np.log(w)
-        return (-1.0) ** (k - 1) * math.factorial(k - 1) / w**k
+        return coeffs[k] / w**k
 
     return _on_positive_wealth(formula)
 
@@ -349,39 +374,31 @@ def m_objective(
     r_f: float = 0.0,
 ) -> float:
     """Truncated expansion M_order(phi, psi, rho) of E[U(W(y))], from
-    ``table`` (order at least ``order``); ``utility(k, w)`` is U^(k)(w)."""
+    ``table`` (order at least ``order``); ``utility(k, w)`` is U^(k)(w).
+
+    The search's hot path: ``mean_wealth`` and ``wealth_central_moment``
+    stay the definitions, and their arithmetic is inlined here step for
+    step, so the value is theirs to the bit."""
     if order < 2:
         raise ValueError(f"order={order} must be >= 2")
     if table.order < order:
         raise ValueError(f"moment table of order {table.order} < order={order}")
-    w = mean_wealth(point, tm, table, w0, r_f)
+    gp = math.sqrt(tm.a_scalar) * point.phi
+    scale = w0 * point.rho
+    w = w0 * (1.0 + r_f) + scale * (math.sqrt(tm.c_scalar) * point.psi + gp * table.mean)
+    terms = table.terms
     total = float(utility(0, w))
     for k in range(2, order + 1):
-        total += (
-            float(utility(k, w))
-            * wealth_central_moment(k, point, tm, table, w0)
-            / math.factorial(k)
-        )
+        moment = 0.0
+        for i, c in terms[k]:
+            moment += c * gp**i
+        total += float(utility(k, w)) * (scale**k * moment) / _FACTORIALS[k]
     return total
 
 
 # ---------------------------------------------------------------------------
 # span geometry shared by the optimizer and the reconstruction
 # ---------------------------------------------------------------------------
-
-
-def _clip_cosine(v: float) -> float:
-    """min(1.0, max(-1.0, v)), NaN going to -1.0 as it does there."""
-    return (v if v < 1.0 else 1.0) if v > -1.0 else -1.0
-
-
-def _clipped_point(phi: float, psi: float, rho: float) -> ReducedPoint:
-    """ReducedPoint(phi, psi, rho) for cosines already clipped to [-1, 1]
-    and a rho that is a norm, built without re-checking them."""
-    point = object.__new__(ReducedPoint)
-    fields = point.__dict__
-    fields["phi"], fields["psi"], fields["rho"] = phi, psi, rho
-    return point
 
 
 class _SpanBasis:
@@ -426,17 +443,34 @@ class _SpanBasis:
             [float(v @ tm.mu0) / self.m_norm for v in axes] if self.m_norm > _SPAN_TOL else None
         )
 
-    def point_of(self, coords: list) -> ReducedPoint:
-        """Reduced point of y = sum coords_i basis_i (a list of floats), the
-        complement coordinate taken by its absolute value (always feasible)."""
-        if self.perp:
-            coords = [*coords[:-1], abs(coords[-1])]
-        rho = math.hypot(*coords)
-        if rho == 0.0:
-            return _clipped_point(0.0, 0.0, 0.0)
-        phi = coords[0] / rho if self.g_norm > _SPAN_TOL else 0.0
-        psi = sum(map(operator.mul, self.mu_hat, coords)) / rho if self.mu_hat else 0.0
-        return _clipped_point(_clip_cosine(phi), _clip_cosine(psi), rho)
+    def point_map(self) -> Callable[[list], ReducedPoint]:
+        """The reduced point of y = sum c_i basis_i as a function of c, a
+        list of floats that it may change, with this basis's constants
+        bound.  The complement coordinate is taken by its absolute value
+        (always feasible).  The cosines are clipped to [-1, 1] as
+        min(1.0, max(-1.0, v)) clips them, NaN going to -1.0, so the point
+        is built without re-checking them."""
+        perp, mu_hat = self.perp, self.mu_hat
+        has_g = self.g_norm > _SPAN_TOL
+        new, mul = object.__new__, operator.mul
+
+        def point_of(c: list) -> ReducedPoint:
+            if perp:
+                c[-1] = abs(c[-1])
+            rho = math.hypot(*c)
+            if rho == 0.0:
+                phi = psi = 0.0
+            else:
+                phi = c[0] / rho if has_g else 0.0
+                psi = sum(map(mul, mu_hat, c)) / rho if mu_hat else 0.0
+                phi = (phi if phi < 1.0 else 1.0) if phi > -1.0 else -1.0
+                psi = (psi if psi < 1.0 else 1.0) if psi > -1.0 else -1.0
+            point = new(ReducedPoint)
+            fields = point.__dict__
+            fields["phi"], fields["psi"], fields["rho"] = phi, psi, rho
+            return point
+
+        return point_of
 
     def coords_of_y(self, y: np.ndarray) -> list:
         """Span coordinates of y, with the norm of its out-of-span part as
@@ -510,15 +544,23 @@ class _BallMap:
                 best = r
         return best
 
-    def coords(self, u: list) -> list:
-        """Span coordinates of u, a list of floats."""
-        size = math.hypot(*u)
-        c = [0.0] * self.dim
-        if size > 0.0:
-            scale = math.tanh(size) * (1.0 - _EDGE) * self.reach(u[0] / size) / size
-            c = [scale * v for v in u]
-        c[0] += self.star
-        return c
+    def point_map(self, point_of: Callable[[list], ReducedPoint]) -> Callable[[list], ReducedPoint]:
+        """u, a list of floats, -> ``point_of(c)`` for the span coordinates
+        c that u maps to, with this map's constants bound."""
+        dim, star, reach = self.dim, self.star, self.reach
+        shrink = 1.0 - _EDGE
+
+        def point_at(u: list) -> ReducedPoint:
+            size = math.hypot(*u)
+            if size > 0.0:
+                scale = math.tanh(size) * shrink * reach(u[0] / size) / size
+                c = [scale * v for v in u]
+            else:
+                c = [0.0] * dim
+            c[0] += star
+            return point_of(c)
+
+        return point_at
 
     def unconstrained(self, coords) -> list | None:
         """A u mapping to ``coords`` (pulled in to _SEED_REACH of the way to
@@ -558,63 +600,66 @@ def optimize_3d(
     rho ball or the domain's ball are dropped.  The best four finite seeds
     are refined with Nelder-Mead in the unconstrained variable of
     ``_BallMap``, so no probe leaves those balls, and ties go to the
-    lexicographically smallest seed.  A non-finite objective value counts
-    as -inf, both when ranking seeds and inside Nelder-Mead; when every
-    seed scores -inf, no point of the domain can be searched and
+    lexicographically smallest seed.  A non-finite objective value, or one
+    beyond float range, counts as -inf, both when ranking seeds and inside
+    Nelder-Mead; when no seed lies in the search set or every seed scores
+    -inf, no point of the domain can be searched and
     ``InfeasiblePointError`` is raised.
     """
     domain = domain or ReducedDomain()
     basis = _SpanBasis(tm)
     search = _BallMap(len(basis.axes), domain)
+    point_at = search.point_map(basis.point_map())
 
-    def objective(u) -> float:
-        p = basis.point_of(search.coords(u))
+    def cost(u: list) -> float:
+        # -M at the point u maps to.  Every probe calls ReducedDomain.contains
+        # and the module-level m_objective: the benchmark tracer counts
+        # probes through them, and tests patch them
+        p = point_at(u)
         if not domain.contains(p):
-            return -math.inf
-        v = m_objective(p, utility, order, tm, table, w0, r_f)
-        return v if math.isfinite(v) else -math.inf
+            return math.inf
+        try:
+            v = m_objective(p, utility, order, tm, table, w0, r_f)
+        except OverflowError:  # a float power beyond float range, as (-a)^k
+            return math.inf
+        return -v if math.isfinite(v) else math.inf
 
-    seeds = [np.zeros(len(basis.axes))]
-    for phi in np.linspace(*domain.phi, _LATTICE[0]):
-        for psi in np.linspace(*domain.psi, _LATTICE[1]):
-            for rho in np.linspace(*domain.rho, _LATTICE[2]):
+    phis, psis, rhos = (
+        np.linspace(*bounds, size).tolist()
+        for bounds, size in zip((domain.phi, domain.psi, domain.rho), _LATTICE)
+    )
+    seeds = [[0.0] * len(basis.axes)]
+    for phi in phis:
+        for psi in psis:
+            for rho in rhos:
                 span_c, deficit = basis.lift(phi, psi, rho)
                 if deficit < 0.0 or not basis.perp:  # project: span part scaled to rho
                     norm2 = float(span_c @ span_c)
                     if norm2 > 0:
                         span_c = span_c * (rho / math.sqrt(norm2))
                     deficit = 0.0
-                if basis.perp:
-                    span_c = np.append(span_c, math.sqrt(deficit))
-                seeds.append(span_c)
+                seeds.append([*span_c.tolist(), math.sqrt(deficit)] if basis.perp else span_c.tolist())
     uniq = {}
-    for c in seeds:
-        key = tuple(np.round(c, 12))
+    for key in map(tuple, np.round(np.array(seeds), 12).tolist()):
         u = search.unconstrained(key)
         if u is not None:
             uniq[key] = u
-    scored = sorted(
-        ((objective(u), key, u) for key, u in uniq.items()),
-        key=lambda t: (-t[0], t[1]),
-    )
+    scored = sorted(((cost(u), key, u) for key, u in uniq.items()), key=lambda t: t[:2])
 
-    best_v, _, best_u = scored[0]
-    if best_v == -math.inf:
+    if not scored or scored[0][0] == math.inf:
         raise InfeasiblePointError(
             f"no seed in the search domain has a finite order-{order} objective"
         )
-    for v, _, start in scored[:4]:
-        if v == -math.inf:
+    best_v, best_u = -scored[0][0], scored[0][2]
+    for c, _, start in scored[:4]:
+        if c == math.inf:
             break
         for _ in range(2):  # restart once to tighten the simplex
-            res = minimize(
-                lambda u: -objective(u), start, xatol=1e-11, fatol=1e-13, maxiter=4000, maxfev=8000
-            )
-            start = res.x
-        v = objective(start)
+            start = minimize(cost, start, xatol=1e-11, fatol=1e-13, maxiter=4000, maxfev=8000).x
+        v = -cost(start)
         if v > best_v + 1e-15:
             best_u, best_v = start, v
-    point = basis.point_of(search.coords(best_u))
+    point = point_at(best_u)
     if point.rho < 1e-12:
         return ReducedPoint(0.0, 0.0, 0.0)
     return point
@@ -660,4 +705,4 @@ def reduce_portfolio(
     cosines of y = A^T x against gamma0 and mu0."""
     basis = _SpanBasis(tm)
     y = model.a_matrix.T @ np.asarray(x, dtype=float)
-    return basis.point_of(basis.coords_of_y(y))
+    return basis.point_map()(basis.coords_of_y(y))

@@ -172,6 +172,10 @@ def quadratic_exponent(model: MarketModel, portfolio: Portfolio) -> float:
     """g(x) = a*W0*x'gamma - (a^2 W0^2 / 2) x'Sigma x, the Laplace argument."""
     x = portfolio.x
     aw = portfolio.a * portfolio.w0
+    if math.isinf(aw * aw):  # then g is -inf, or NaN (inf * 0) at x'Sigma x = 0
+        raise InfeasiblePortfolioError(
+            f"a W0 = {aw:.6g} is beyond float range: (a W0)^2 overflows in g(x)"
+        )
     return float(aw * (x @ model.gamma) - 0.5 * aw * aw * (x @ model.sigma @ x))
 
 

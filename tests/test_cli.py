@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,47 @@ def test_general_opt_domain_without_a_finite_seed_exit_2(tmp_path, capsys, domai
     assert main(["general-opt", "--spec", write_spec(tmp_path, raw), "--out", str(out)]) == 2
     assert "finite order-4 objective" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _main_warnings_as_errors(argv, capsys):
+    """(exit code, stderr) of ``main(argv)`` run in-process with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def _assert_one_infeasible_line(code, err, out):
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("infeasible problem: "), err
+    assert "nan" not in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["general-opt", "exp-opt"])
+@pytest.mark.parametrize("spec", ["exp1", "gig", "gaussian"])
+@pytest.mark.parametrize("key", ["a", "w0"])
+def test_investor_beyond_float_range_is_infeasible(tmp_path, capsys, command, spec, key):
+    # a W0 = 1e308: no lattice seed lies in general-opt's search set (exp1,
+    # gig), every probe but rho = 0 overflows a float power (gaussian), and
+    # (a W0)^2 overflows in the Laplace argument g(x)
+    raw = json.loads((SPECS / f"{spec}.json").read_text())
+    raw["investor"][key] = 1e308
+    out = tmp_path / "out.json"
+    argv = [command, "--spec", write_spec(tmp_path, raw), "--out", str(out)]
+    _assert_one_infeasible_line(*_main_warnings_as_errors(argv, capsys), out)
+
+
+def test_exp_opt_h_decreasing_without_bound_is_infeasible(tmp_path, capsys):
+    # gamma = 1e308 makes |gamma0|^2 infinite, and H falls through every doubling
+    raw = json.loads((SPECS / "exp1.json").read_text())
+    raw["model"]["gamma"][0] = 1e308
+    out = tmp_path / "out.json"
+    argv = ["exp-opt", "--spec", write_spec(tmp_path, raw), "--out", str(out)]
+    code, err = _main_warnings_as_errors(argv, capsys)
+    _assert_one_infeasible_line(code, err, out)
+    assert "H still decreases" in err
 
 
 @pytest.mark.parametrize("utility,order", [("exponential", 4), ("log", 5)])
@@ -731,6 +773,37 @@ def test_mc_verify_failure_exit_3(tmp_path, monkeypatch, capsys):
     ])
     assert code == 3
     assert "OVERALL FAIL" in out.read_text()
+
+
+def test_mc_verify_zero_stderr_fails_with_infinite_z(tmp_path, monkeypatch, capsys):
+    from nmvmopt import cli as cli_mod
+    from nmvmopt.mc_oracle import McEstimate
+
+    monkeypatch.setattr(
+        cli_mod.mc_oracle,
+        "mc_expected_utility",
+        lambda *a, **kw: McEstimate(estimate=123.0, stderr=0.0),
+    )
+    out = tmp_path / "report.txt"
+    argv = ["mc-verify", "--spec", str(SPECS / "exp1.json"), "--out", str(out), "--paths", "2000"]
+    code, err = _main_warnings_as_errors(argv, capsys)
+    assert code == 3, err
+    assert err == ""
+    lines = out.read_text().splitlines()
+    assert lines[2].startswith("FAIL closed-form-utility: ") and lines[2].endswith("(z = inf)")
+    assert lines[-1] == "OVERALL FAIL"
+
+
+def test_mc_verify_equal_values_with_zero_stderr_pass(tmp_path, capsys):
+    # every sampled utility is -exp(-huge) = 0, as is the closed form: z = 0
+    raw = json.loads((SPECS / "exp1.json").read_text())
+    raw["model"]["gamma"] = [g * 1e15 for g in raw["model"]["gamma"]]
+    out = tmp_path / "report.txt"
+    argv = ["mc-verify", "--spec", write_spec(tmp_path, raw), "--out", str(out), "--paths", "2000"]
+    code, err = _main_warnings_as_errors(argv, capsys)
+    assert code == 0, err
+    assert "PASS closed-form-utility: " in out.read_text()
+    assert "(z = 0.000)" in out.read_text()
 
 
 def test_large_market_monotonicity_violation_exit_3(tmp_path, monkeypatch, capsys):

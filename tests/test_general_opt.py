@@ -612,6 +612,82 @@ def test_log_and_power_search_budget_and_finite_starts(monkeypatch, utility):
     assert starts and all(math.isfinite(v) for v in starts)
 
 
+# (spec, utility, order) -> probes in one optimize_3d.  Each probe checks
+# ReducedDomain.contains, lies inside, and is scored by one m_objective call.
+# A faster probe must keep this work, and with it every output bit
+_SEARCH_PROBES = {
+    ("exp1", "exponential", 4): 1865,
+    ("exp1", "log", 4): 1962,
+    ("exp1", "power:2", 4): 1860,
+    ("exp1", "power:0.5", 4): 1802,
+    ("gig", "exponential", 4): 340,
+    ("gig", "exponential", 6): 337,
+}
+
+
+@pytest.mark.parametrize("spec,utility,order", list(_SEARCH_PROBES))
+def test_optimize_3d_probe_counts_on_shipped_specs(monkeypatch, spec, utility, order):
+    m, mix, tm, a, w0 = _shipped(spec)
+    kind, _, param = utility.partition(":")
+    if kind == "exponential":
+        u, dom = exponential_utility(a), exp_feasible_domain(tm, mix, a, w0)
+    else:
+        u, dom = log_utility() if kind == "log" else power_utility(float(param)), ReducedDomain()
+    counts = {"contains": 0, "m_objective": 0}
+    real_contains, real_m = ReducedDomain.contains, general_opt.m_objective
+
+    def contains(self, p, tol=1e-12):
+        counts["contains"] += 1
+        return real_contains(self, p, tol)
+
+    def objective(*args):
+        counts["m_objective"] += 1
+        return real_m(*args)
+
+    monkeypatch.setattr(ReducedDomain, "contains", contains)
+    monkeypatch.setattr(general_opt, "m_objective", objective)
+    optimize_3d(tm, MomentTable.build(mix, order), u, order=order, w0=w0, r_f=m.r_f, domain=dom)
+    probes = _SEARCH_PROBES[spec, utility, order]
+    assert counts == {"contains": probes, "m_objective": probes}
+
+
+_FAMILIES = [
+    Exponential(1.3),
+    GIG(-0.5, 1.2, 0.8),
+    Constant(0.7),
+    BoundedUniform(0.4, 1.6),
+]
+
+
+@pytest.mark.parametrize("mix", _FAMILIES, ids=lambda mix: type(mix).__name__)
+def test_m_objective_is_the_expansion_to_the_bit(mix):
+    # U(w) + sum_k U^(k)(w) E[(W-w)^k] / k!, from the reference definitions
+    m, _, _, _, _ = _shipped("exp1")
+    tm = transform(m, mix)
+    table = MomentTable.build(mix, 6)
+    utilities = [exponential_utility(1.7), log_utility(), power_utility(2.5), quadratic_utility(0.3)]
+    checked = 0
+    for phi in np.linspace(-1.0, 1.0, 5).tolist():
+        for psi in np.linspace(-1.0, 1.0, 5).tolist():
+            for rho in (0.0, 0.37, 1.9):
+                p = ReducedPoint(phi, psi, rho)
+                for w0, r_f in ((1.0, 0.0), (2.5, 0.03)):
+                    w = mean_wealth(p, tm, table, w0, r_f)
+                    for u in utilities:
+                        for order in (4, 6):
+                            want = float(u(0, w))
+                            for k in range(2, order + 1):
+                                want += (
+                                    float(u(k, w))
+                                    * wealth_central_moment(k, p, tm, table, w0)
+                                    / math.factorial(k)
+                                )
+                            got = m_objective(p, u, order, tm, table, w0, r_f)
+                            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                            checked += math.isfinite(got)
+    assert checked > 1000
+
+
 @pytest.mark.parametrize("spec,kind", [("gig", "exponential"), ("exp1", "log"), ("exp1", "power")])
 def test_optimize_3d_not_improved_by_random_feasible_probes(rng, spec, kind):
     m, mix, tm, a, w0 = _shipped(spec)

@@ -183,11 +183,16 @@ def test_exp_opt_matches_golden_file_on_other_laws(tmp_path, spec):
     assert out.read_bytes() == (GOLDEN / f"{spec}_out.json").read_bytes()
 
 
-@pytest.mark.parametrize("spec", ["exp1", "gig", "gaussian"])
+# bounded_uniform_n4 and gig_n5 are the two generated markets of the
+# benchmark's mc-verify batch; their specs sit beside their reports
+@pytest.mark.parametrize("spec", ["exp1", "gig", "gaussian", "bounded_uniform_n4", "gig_n5"])
 def test_mc_verify_matches_golden_file(tmp_path, spec, capsys):
     # the report is a fixed function of the spec, the path count and the seed
     out = tmp_path / "report.txt"
-    argv = ["mc-verify", "--spec", str(SPECS / f"{spec}.json"), "--out", str(out), "--paths", "20000"]
+    spec_path = GOLDEN / "mc_verify" / f"{spec}.json"
+    if not spec_path.exists():
+        spec_path = SPECS / f"{spec}.json"
+    argv = ["mc-verify", "--spec", str(spec_path), "--out", str(out), "--paths", "20000"]
     assert main(argv) == 0
     golden = (GOLDEN / "mc_verify" / f"{spec}_20000.txt").read_bytes()
     assert out.read_bytes() == golden

@@ -485,6 +485,9 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
         ok = ok and passed
         report.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
+    # solved before the sample is drawn: a market the closed form rejects
+    # exits with exp-opt's error, not with an overflow in the sample moments
+    res = exp_opt.optimize(model, mix, a=a, w0=w0)
     returns = mc_oracle.sample_returns(model, mix, paths, seed)
     ez, vz = mix.mean, mix.variance
     mean_th = model.mu + model.gamma * ez
@@ -498,7 +501,6 @@ def run_mc_verify(spec_path: str, out_path: str, paths: int, seed: int) -> int:
     zc = float(np.max(np.abs(np.cov(returns.T) - cov_th) / cov_se))
     check("sample-cov", zc < 5.0, f"max |dev|/se = {zc:.3f} (threshold 5)")
 
-    res = exp_opt.optimize(model, mix, a=a, w0=w0)
     utility = general_opt.exponential_utility(a)
     est = mc_oracle.mc_expected_utility(model, returns, utility, res.x_star, w0)
     diff = abs(est.estimate - res.optimal_utility)

@@ -74,6 +74,10 @@ def sample_returns(
     Antithetic: the first half of the rows draws (z, g) and the second
     half repeats z with -g.  The normals come from a Philox stream keyed
     by ``seed``, the mixing draws from that stream jumped once.
+
+    The matrix is stored asset-major (Fortran order): the per-asset
+    reductions over the paths that every caller makes (means, covariances,
+    X'X products) then run along contiguous memory.
     """
     if paths < 1:
         raise ValueError(f"paths={paths} must be >= 1")
@@ -82,12 +86,13 @@ def sample_returns(
     half = (paths + 1) // 2
     g0 = normal_rng.standard_normal((half, model.n))
     z0 = mix.sample(half, mix_rng)
-    z, g = np.concatenate([z0, z0]), np.vstack([g0, -g0])
+    ag0 = (g0 @ model.a_matrix.T).T
+    z = np.concatenate([z0, z0])
     return (
-        model.mu[None, :]
-        + model.gamma[None, :] * z[:, None]
-        + np.sqrt(z)[:, None] * (g @ model.a_matrix.T)
-    )
+        model.mu[:, None]
+        + model.gamma[:, None] * z[None, :]
+        + np.sqrt(z)[None, :] * np.hstack([ag0, -ag0])
+    ).T
 
 
 def _wealth(model: MarketModel, returns: np.ndarray, x: np.ndarray, w0: float):

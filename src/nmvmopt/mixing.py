@@ -300,12 +300,18 @@ class GIG(MixingDistribution):
     def _omega(self) -> float:
         return math.sqrt(self.chi * self.psi)
 
+    @functools.cached_property
+    def _log_bessel_k_omega(self) -> float:
+        """log K_lam(omega), the Laplace transform's normaliser: one
+        evaluation per law, not one per probe."""
+        return log_bessel_k(self.lam, self._omega)
+
     def _log_laplace(self, s):
         u = self.psi + 2.0 * s
         return (
             0.5 * self.lam * (math.log(self.psi) - math.log(u))
             + log_bessel_k(self.lam, math.sqrt(self.chi * u))
-            - log_bessel_k(self.lam, self._omega)
+            - self._log_bessel_k_omega
         )
 
     def _laplace_log_deriv(self, s):

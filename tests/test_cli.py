@@ -811,6 +811,25 @@ def test_mc_verify_equal_values_with_zero_stderr_pass(tmp_path, capsys):
     assert "(z = 0.000)" in out.read_text()
 
 
+@pytest.mark.parametrize("spec,key,index", [
+    *[("exp1", key, i) for key in ("mu", "gamma") for i in range(3)],
+    *[("gig", key, i) for key in ("mu", "gamma") for i in range(2)],
+])
+def test_mc_verify_fails_as_exp_opt_before_sampling(tmp_path, capsys, spec, key, index):
+    # mc-verify solves before it draws, so a market whose closed form fails
+    # never reaches the overflowing sample moments
+    raw = json.loads((SPECS / f"{spec}.json").read_text())
+    raw["model"][key][index] = 1e308
+    path = write_spec(tmp_path, raw)
+    results = []
+    for argv in (["exp-opt"], ["mc-verify", "--paths", "2000"]):
+        out = tmp_path / f"{argv[0]}.out"
+        results.append(_main_warnings_as_errors([*argv, "--spec", path, "--out", str(out)], capsys))
+        assert not out.exists()
+    assert results[0][0] in (1, 2), results[0]
+    assert results[1] == results[0]
+
+
 def test_large_market_monotonicity_violation_exit_3(tmp_path, monkeypatch, capsys):
     from nmvmopt import cli as cli_mod
     from nmvmopt.large_market import ConvergenceRow

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 from conftest import random_spd_market, sane_exp_market
 from nmvmopt import exp_opt, mc_oracle
-from nmvmopt.mixing import Constant, Exponential
+from nmvmopt.mixing import GIG, BoundedUniform, Constant, Exponential
 from nmvmopt.model import MarketModel
 from nmvmopt.mc_oracle import (
     block_mean,
@@ -46,6 +46,37 @@ def test_sample_returns_shape_and_determinism(rng):
     assert np.array_equal(a, b)
     c = sample_returns(m, Exponential(1.0), 1000, 6)
     assert not np.array_equal(a, c)
+
+
+def _row_major_reference(model, mix, paths, seed):
+    """The sample built path-major from the same two Philox streams."""
+    root = np.random.Philox(key=seed)
+    normal_rng, mix_rng = np.random.Generator(root), np.random.Generator(root.jumped(1))
+    half = (paths + 1) // 2
+    g0 = normal_rng.standard_normal((half, model.n))
+    z0 = mix.sample(half, mix_rng)
+    z, g = np.concatenate([z0, z0]), np.vstack([g0, -g0])
+    return (
+        model.mu[None, :]
+        + model.gamma[None, :] * z[:, None]
+        + np.sqrt(z)[:, None] * (g @ model.a_matrix.T)
+    )
+
+
+@pytest.mark.parametrize(
+    "mix", [Constant(1.3), Exponential(0.9), GIG(-0.5, 1.0, 1.2), BoundedUniform(0.5, 1.4)], ids=repr
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+@pytest.mark.parametrize("paths", [1_000, 1_001])
+def test_sample_returns_is_asset_major_with_the_row_major_bits(mix, n, paths):
+    # per-asset reductions over the paths run along contiguous memory, and
+    # the layout changes no value
+    m = random_spd_market(np.random.default_rng(n), n)
+    x = sample_returns(m, mix, paths, 11)
+    assert x.shape == (paths + paths % 2, n)
+    assert x.flags.f_contiguous
+    ref = _row_major_reference(m, mix, paths, 11)
+    assert x.tobytes(order="C") == ref.tobytes(order="C")
 
 
 def test_constant_mixing_rows(rng):

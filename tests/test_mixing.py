@@ -380,6 +380,49 @@ def test_gig_large_order_matches_mode_shifted_oracles(lam):
         )
 
 
+@pytest.mark.parametrize("lam,chi,psi", [(-0.5, 1.0, 1.0), (0.7, 2.0, 0.5), (3.0, 0.2, 4.0),
+                                         (200.0, 1.0, 1.0), (-150.0, 1.0, 1.0)])
+def test_gig_log_laplace_is_the_two_bessel_formula_to_the_bit(lam, chi, psi):
+    # the normaliser log K_lam(omega) is computed once per law; every probe
+    # keeps the value of the formula that evaluates it each time
+    g = GIG(lam, chi, psi)
+    omega = math.sqrt(chi * psi)
+    if abs(lam) >= 150.0:  # kve overflows: log_bessel_k takes its quadrature branch
+        assert math.isinf(mixing._special().kve(lam, omega))
+    for s in [0.0] + np.linspace(-0.499 * psi, 4.0, 25).tolist():
+        u = psi + 2.0 * s
+        ref = (
+            0.5 * lam * (math.log(psi) - math.log(u))
+            + log_bessel_k(lam, math.sqrt(chi * u))
+            - log_bessel_k(lam, omega)
+        )
+        assert g.log_laplace(s) == ref
+
+
+def test_gig_exp_opt_evaluates_the_normaliser_once(monkeypatch):
+    from nmvmopt import exp_opt
+    from nmvmopt.model import MarketModel
+
+    counts = {"bessel": 0, "log_laplace": 0}
+    bessel, log_laplace = mixing.log_bessel_k, mixing.MixingDistribution.log_laplace
+
+    def counting_bessel(*args):
+        counts["bessel"] += 1
+        return bessel(*args)
+
+    def counting_log_laplace(self, s):
+        counts["log_laplace"] += 1
+        return log_laplace(self, s)
+
+    monkeypatch.setattr(mixing, "log_bessel_k", counting_bessel)
+    monkeypatch.setattr(mixing.MixingDistribution, "log_laplace", counting_log_laplace)
+    model = MarketModel(n=2, r_f=0.0, mu=[0.05, 0.07], gamma=[0.03, -0.02],
+                        a_matrix=[[0.2, 0.0], [0.04, 0.18]])
+    exp_opt.optimize(model, GIG(-0.5, 1.0, 1.0), a=1.5, w0=1.0)
+    assert counts["log_laplace"] > 10
+    assert counts["bessel"] == counts["log_laplace"] + 1
+
+
 def test_log_bessel_quadrature_route():
     # the quadrature route agrees with kve where kve is finite ...
     for lam, x in ((140.0, 1.0), (50.0, 0.1), (0.0, 1.0), (0.5, 3.0), (20.0, 30.0), (2.0, 1e-3)):

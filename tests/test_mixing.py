@@ -15,7 +15,7 @@ from conftest import (
     gig_quad_moment,
     uniform_quad_central,
 )
-from nmvmopt import mixing
+from nmvmopt import exp_opt, mixing
 from nmvmopt.errors import InvalidMomentOrderError, MixingDomainError
 from nmvmopt.mixing import (
     GIG,
@@ -24,6 +24,7 @@ from nmvmopt.mixing import (
     Exponential,
     log_bessel_k,
 )
+from nmvmopt.model import MarketModel
 
 ALL_FAMILIES = [
     Constant(1.0),
@@ -400,9 +401,6 @@ def test_gig_log_laplace_is_the_two_bessel_formula_to_the_bit(lam, chi, psi):
 
 
 def test_gig_exp_opt_evaluates_the_normaliser_once(monkeypatch):
-    from nmvmopt import exp_opt
-    from nmvmopt.model import MarketModel
-
     counts = {"bessel": 0, "log_laplace": 0}
     bessel, log_laplace = mixing.log_bessel_k, mixing.MixingDistribution.log_laplace
 

@@ -199,10 +199,26 @@ def test_mc_verify_matches_golden_file(tmp_path, spec, capsys):
     assert capsys.readouterr().out.encode() == golden
 
 
+# three markets drawn as the benchmark's exp-opt batch draws them, from a
+# fixed generator: n > 3, a binding c_interval, and the bounded-uniform law
+@pytest.mark.parametrize("spec", ["gig_n16_c", "bounded_uniform_n64", "exponential_n32"])
+def test_exp_opt_matches_golden_file_on_generated_markets(tmp_path, spec):
+    out = tmp_path / "out.json"
+    assert main(["exp-opt", "--spec", str(GOLDEN / "exp_opt" / f"{spec}.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "exp_opt" / f"{spec}_out.json").read_bytes()
+
+
 def test_large_market_matches_golden_file(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["large-market", "--spec", str(SPECS / "large_market.json"), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "large_market_out.csv").read_bytes()
+
+
+def test_large_market_matches_golden_file_at_max_n_8192(tmp_path):
+    # 11 swept n on three power sequences (beta's starts at asset 2)
+    out = tmp_path / "out.csv"
+    assert main(["large-market", "--spec", str(GOLDEN / "large_market_n8192.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "large_market_n8192_out.csv").read_bytes()
 
 
 @pytest.mark.parametrize("order", [4, 6])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -72,6 +73,8 @@ def _to_json(obj, indent: int = 0) -> str:
             f'{pad}  "{k}": {_to_json(v, indent + 1)}' for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, float):  # the common leaf first; np.float64 is one too
+        return _fmt_float(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         return "[" + ", ".join(_to_json(v, indent) for v in seq) + "]"
@@ -136,12 +139,16 @@ def _integer(v, where: str) -> int:
     return v
 
 
-def _vector(v, n: int, where: str) -> np.ndarray:
+def _check_vector(v, n: int, where: str) -> None:
     if not isinstance(v, list) or len(v) != n:
         raise SpecFileError(f"{where} must be a list of {n} numbers")
     if not set(map(type, v)) <= {int, float}:  # a bool's type is neither
         for i, e in enumerate(v):
             _number(e, f"{where}[{i}]")
+
+
+def _vector(v, n: int, where: str) -> np.ndarray:
+    _check_vector(v, n, where)
     return np.array(v, dtype=float)
 
 
@@ -184,13 +191,12 @@ def parse_model(block: dict) -> MarketModel:
     a = block["a_matrix"]
     if not isinstance(a, list) or len(a) != n:
         raise SpecFileError(f"model.a_matrix must be an {n}x{n} array of rows")
-    return MarketModel(
-        n=n,
-        r_f=_number(block["r_f"], "model.r_f"),
-        mu=_vector(block["mu"], n, "model.mu"),
-        gamma=_vector(block["gamma"], n, "model.gamma"),
-        a_matrix=np.array([_vector(row, n, f"model.a_matrix[{i}]") for i, row in enumerate(a)]),
-    )
+    r_f = _number(block["r_f"], "model.r_f")
+    mu = _vector(block["mu"], n, "model.mu")
+    gamma = _vector(block["gamma"], n, "model.gamma")
+    for i, row in enumerate(a):
+        _check_vector(row, n, f"model.a_matrix[{i}]")
+    return MarketModel(n=n, r_f=r_f, mu=mu, gamma=gamma, a_matrix=np.array(a, dtype=float))
 
 
 def parse_investor(block: dict) -> tuple[float, float]:
@@ -211,18 +217,30 @@ def _interval(block: dict, key: str, where: str) -> tuple[float, float]:
     return lo, hi
 
 
-def parse_sequence(block: dict, where: str):
+def parse_sequence(block: dict, where: str, start: int, max_n: int) -> np.ndarray:
+    """The sequence's values at assets ``start`` … ``max_n``.
+
+    A ``power`` sequence is kappa / i**p to the bit (``math.pow(i, p)`` is
+    ``i**p``); a power beyond float range raises OverflowError and a power
+    that underflows to 0 raises ZeroDivisionError, as that formula does.
+    """
     if not isinstance(block, dict) or "kind" not in block:
         raise SpecFileError(f"{where} must be an object with a 'kind'")
     kind = block["kind"]
+    count = max(max_n - start + 1, 0)
     if kind == "power":
         _require_keys(block, {"kind": True, "kappa": True, "p": True}, where)
         kappa, p = _finite(block["kappa"], f"{where}.kappa"), _finite(block["p"], f"{where}.p")
-        return lambda i: kappa / i**p
+        powers = np.fromiter(
+            map(math.pow, range(start, max_n + 1), itertools.repeat(p)), float, count
+        )
+        if not powers.all():
+            raise ZeroDivisionError("float division by zero")
+        with np.errstate(over="ignore"):  # LargeMarketSpec rejects an infinite quotient
+            return kappa / powers
     if kind == "constant":
         _require_keys(block, {"kind": True, "value": True}, where)
-        value = _finite(block["value"], f"{where}.value")
-        return lambda i: value
+        return np.full(count, _finite(block["value"], f"{where}.value"))
     if kind == "array":
         _require_keys(block, {"kind": True, "values": True}, where)
         values = block["values"]
@@ -265,13 +283,17 @@ def parse_large_market(block: dict) -> tuple[large_market.LargeMarketSpec, list,
     tol = _number(block["tolerance"], "large_market.tolerance") if "tolerance" in block else 1e-4
     try:
         spec = large_market.LargeMarketSpec(
-            gamma_seq=parse_sequence(block["gamma"], "large_market.gamma"),
-            mu_seq=parse_sequence(block["mu"], "large_market.mu"),
-            beta_seq=parse_sequence(block["beta"], "large_market.beta"),
-            beta_bar_seq=parse_sequence(block["beta_bar"], "large_market.beta_bar"),
+            gamma_seq=parse_sequence(block["gamma"], "large_market.gamma", 1, max_n),
+            mu_seq=parse_sequence(block["mu"], "large_market.mu", 1, max_n),
+            beta_seq=parse_sequence(block["beta"], "large_market.beta", 2, max_n),
+            beta_bar_seq=parse_sequence(block["beta_bar"], "large_market.beta_bar", 1, max_n),
             mix=parse_mixing(block["mixing"], "large_market.mixing"),
             max_n=max_n,
         )
+    except (OverflowError, ZeroDivisionError) as exc:  # kappa / i**p beyond float range
+        raise SpecFileError(
+            f"invalid large_market block: a coefficient sequence overflows a float ({exc})"
+        ) from exc
     except ValueError as exc:
         raise SpecFileError(f"invalid large_market block: {exc}") from exc
     return spec, n_list, tol

@@ -86,23 +86,26 @@ def sample_returns(
     half = (paths + 1) // 2
     g0 = normal_rng.standard_normal((half, model.n))
     z0 = mix.sample(half, mix_rng)
-    ag0 = (g0 @ model.a_matrix.T).T
-    z = np.concatenate([z0, z0])
-    return (
-        model.mu[:, None]
-        + model.gamma[:, None] * z[None, :]
-        + np.sqrt(z)[None, :] * np.hstack([ag0, -ag0])
-    ).T
+    # built in place with the bits of mu + gamma z + sqrt(z) (+-A g): the
+    # sums commute, and the antithetic half subtracts sqrt(z) A g, which
+    # is adding sqrt(z) (-A g) exactly
+    out = model.gamma[:, None] * np.concatenate([z0, z0])
+    out += model.mu[:, None]
+    noise = np.sqrt(z0) * (g0 @ model.a_matrix.T).T
+    out[:, :half] += noise
+    out[:, half:] -= noise
+    return out.T
 
 
-def _wealth(model: MarketModel, returns: np.ndarray, x: np.ndarray, w0: float):
-    return w0 * (1.0 + model.r_f) + w0 * ((returns - model.r_f) @ x)
+def _wealth(model: MarketModel, excess: np.ndarray, x: np.ndarray, w0: float):
+    """W(x) per draw from ``excess``, the sample minus r_f."""
+    return w0 * (1.0 + model.r_f) + w0 * (excess @ x)
 
 
-def _pair_means(model: MarketModel, returns: np.ndarray, utility, x, w0: float):
+def _pair_means(model: MarketModel, excess: np.ndarray, utility, x, w0: float):
     """U(W(x)) per draw, and the mean of each antithetic pair of draws
     (row i with row i + rows/2)."""
-    vals = utility(0, _wealth(model, returns, np.asarray(x, dtype=float), w0))
+    vals = utility(0, _wealth(model, excess, np.asarray(x, dtype=float), w0))
     vals = np.asarray(vals, dtype=float)
     half = vals.size // 2
     with np.errstate(invalid="ignore", over="ignore"):
@@ -121,7 +124,7 @@ def mc_expected_utility(
     utility hit by nonpositive wealth) propagate into the estimate and are
     counted.
     """
-    vals, pair = _pair_means(model, returns, utility, x, w0)
+    vals, pair = _pair_means(model, returns - model.r_f, utility, x, w0)
     n_bad = int(vals.size - np.count_nonzero(np.isfinite(vals)))
     with np.errstate(invalid="ignore", over="ignore"):
         est = block_mean(pair)
@@ -138,9 +141,10 @@ def crn_objective(model: MarketModel, returns: np.ndarray, utility, w0: float):
     value at x is ``mc_expected_utility(model, returns, utility, x, w0)``'s
     estimate to the bit.
     """
+    excess = returns - model.r_f
 
     def objective(x: np.ndarray) -> float:
-        return block_mean(_pair_means(model, returns, utility, x, w0)[1])
+        return block_mean(_pair_means(model, excess, utility, x, w0)[1])
 
     return objective
 
@@ -200,7 +204,7 @@ def brute_force_optimize(
     status = "iteration-cap"
     with np.errstate(over="ignore", invalid="ignore"):  # a trial point may overflow U
         for iteration in range(1, _MAX_NEWTON + 1):
-            wealth = _wealth(model, returns, x, w0)
+            wealth = _wealth(model, excess, x, w0)
             g = w0 * (excess.T @ utility(1, wealth)) / excess.shape[0]
             h = w0 * w0 * (excess.T @ (utility(2, wealth)[:, None] * excess)) / excess.shape[0]
             free = ~(((x <= lo) & (g < 0.0)) | ((x >= hi) & (g > 0.0)))

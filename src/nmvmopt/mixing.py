@@ -51,6 +51,13 @@ def _special():
 def log_bessel_k(lam: float, x):
     """log K_lam(x) via the exponentially scaled Bessel function, or by
     quadrature where that overflows (large |lam| against x)."""
+    if type(x) is float and x > 0.0:
+        # a Laplace probe: the same ufuncs as below on a scalar, without
+        # the array plumbing.  np.log, not math.log, which differs from it
+        # in the last bit on some kve values
+        out = float(np.log(_special().kve(lam, x)) - x)
+        if not math.isinf(out):
+            return out
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise MixingDomainError(f"log_bessel_k requires x > 0, got {x}")

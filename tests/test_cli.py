@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nmvmopt.cli import build_parser, main
+from nmvmopt.cli import build_parser, main, parse_sequence
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
@@ -678,6 +678,52 @@ def test_general_opt_log_high_order_silent_under_warnings_as_errors(tmp_path):
 # ---------------------------------------------------------------------------
 # large-market output
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("start", [1, 2])
+@pytest.mark.parametrize("kappa,p", [
+    (0.5, 1.1), (0.4526793799919606, 1.2068144733956685), (0.3, 1.0), (2.0, 0.0),
+    (1e-3, 2.75), (3.0, -0.7), (-0.25, 0.5),
+])
+def test_power_sequence_is_kappa_over_i_to_the_p_to_the_bit(kappa, p, start):
+    max_n = 2**16 + start - 1
+    got = parse_sequence({"kind": "power", "kappa": kappa, "p": p}, "seq", start, max_n)
+    want = np.array([kappa / i**p for i in range(start, max_n + 1)])
+    assert got.shape == (2**16,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_constant_sequence_is_its_value():
+    got = parse_sequence({"kind": "constant", "value": 0.7}, "seq", 2, 9)
+    assert got.tolist() == [0.7] * 8
+
+
+@pytest.mark.parametrize("key,seq,detail", [
+    # i**p beyond float range; the detail is math.pow's message
+    ("mu", {"kind": "power", "kappa": 0.5, "p": 400.0},
+     "a coefficient sequence overflows a float (math range error)"),
+    ("beta", {"kind": "power", "kappa": 0.0, "p": 400.0},
+     "a coefficient sequence overflows a float (math range error)"),
+    # i**p underflows to 0, so kappa / i**p divides by zero
+    ("beta", {"kind": "power", "kappa": 0.5, "p": -400.0},
+     "a coefficient sequence overflows a float (float division by zero)"),
+    ("gamma", {"kind": "power", "kappa": 0.0, "p": -2000.0},
+     "a coefficient sequence overflows a float (float division by zero)"),
+    # a finite power with an infinite quotient
+    ("gamma", {"kind": "power", "kappa": 1e308, "p": -1.0}, "gamma is not finite at asset 2 (inf)"),
+    ("beta_bar", {"kind": "power", "kappa": -1e308, "p": -3.0},
+     "beta_bar is not finite at asset 2 (-inf)"),
+])
+def test_large_market_sequence_beyond_float_range_is_one_input_error(tmp_path, capsys, key, seq, detail):
+    raw = json.loads((SPECS / "large_market.json").read_text())
+    raw["large_market"][key] = seq
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["large-market", "--spec", write_spec(tmp_path, raw), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"input error: invalid large_market block: {detail}\n"
+    assert not out.exists()
 
 
 def test_large_market_zero_spec_all_ones(tmp_path):

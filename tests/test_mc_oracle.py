@@ -294,3 +294,13 @@ def test_crn_objective_is_the_estimate_to_the_bit(which):
     objective = crn_objective(m, returns, utility, w0)
     for x in (np.zeros(3), np.array([0.4, -0.3, 0.2]), [1.0, 0.5, -2.0]):
         assert objective(x) == mc_expected_utility(m, returns, utility, x, w0).estimate
+
+
+def test_wealth_from_the_excess_matrix_is_the_returns_formula_to_the_bit():
+    # every caller forms returns - r_f once and passes it to _wealth
+    m = random_spd_market(np.random.default_rng(3), 4)
+    returns = sample_returns(m, Exponential(1.0), 10_001, 6)
+    w0 = 1.7
+    for x in (np.zeros(4), np.array([0.3, -1.2, 0.05, 2.0])):
+        want = w0 * (1.0 + m.r_f) + w0 * ((returns - m.r_f) @ x)
+        assert mc_oracle._wealth(m, returns - m.r_f, x, w0).tobytes() == want.tobytes()

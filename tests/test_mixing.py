@@ -400,6 +400,17 @@ def test_gig_log_laplace_is_the_two_bessel_formula_to_the_bit(lam, chi, psi):
         assert g.log_laplace(s) == ref
 
 
+@pytest.mark.parametrize("lam", np.linspace(-6.0, 6.0, 25).tolist() + [150.0, 200.0, -180.0])
+def test_log_bessel_k_of_a_float_is_the_array_path_to_the_bit(lam):
+    # a Python float takes the scalar branch, an np.float64 the array code
+    xs = np.geomspace(1e-3, 1e3, 61).tolist() + [0.3 * k for k in range(1, 20)]
+    for x in xs:
+        assert type(x) is float
+        assert log_bessel_k(lam, x) == log_bessel_k(lam, np.float64(x))
+    if abs(lam) >= 150.0:  # kve overflows: the scalar branch falls through to quadrature
+        assert math.isinf(mixing._special().kve(lam, 1.0))
+
+
 def test_gig_exp_opt_evaluates_the_normaliser_once(monkeypatch):
     counts = {"bessel": 0, "log_laplace": 0}
     bessel, log_laplace = mixing.log_bessel_k, mixing.MixingDistribution.log_laplace

@@ -82,7 +82,7 @@ def _to_json(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -217,30 +216,20 @@ def _interval(block: dict, key: str, where: str) -> tuple[float, float]:
     return lo, hi
 
 
-def parse_sequence(block: dict, where: str, start: int, max_n: int) -> np.ndarray:
-    """The sequence's values at assets ``start`` … ``max_n``.
-
-    A ``power`` sequence is kappa / i**p to the bit (``math.pow(i, p)`` is
-    ``i**p``); a power beyond float range raises OverflowError and a power
-    that underflows to 0 raises ZeroDivisionError, as that formula does.
-    """
+def parse_sequence(block: dict, where: str, max_n: int):
+    """The sequence for LargeMarketSpec: a PowerSequence, or its values at
+    assets 1 … max_n.  Power sequences are built by LargeMarketSpec, after
+    it has checked the mixing law."""
     if not isinstance(block, dict) or "kind" not in block:
         raise SpecFileError(f"{where} must be an object with a 'kind'")
     kind = block["kind"]
-    count = max(max_n - start + 1, 0)
     if kind == "power":
         _require_keys(block, {"kind": True, "kappa": True, "p": True}, where)
         kappa, p = _finite(block["kappa"], f"{where}.kappa"), _finite(block["p"], f"{where}.p")
-        powers = np.fromiter(
-            map(math.pow, range(start, max_n + 1), itertools.repeat(p)), float, count
-        )
-        if not powers.all():
-            raise ZeroDivisionError("float division by zero")
-        with np.errstate(over="ignore"):  # LargeMarketSpec rejects an infinite quotient
-            return kappa / powers
+        return large_market.PowerSequence(kappa, p)
     if kind == "constant":
         _require_keys(block, {"kind": True, "value": True}, where)
-        return np.full(count, _finite(block["value"], f"{where}.value"))
+        return np.full(max(max_n, 0), _finite(block["value"], f"{where}.value"))
     if kind == "array":
         _require_keys(block, {"kind": True, "values": True}, where)
         values = block["values"]
@@ -283,17 +272,13 @@ def parse_large_market(block: dict) -> tuple[large_market.LargeMarketSpec, list,
     tol = _number(block["tolerance"], "large_market.tolerance") if "tolerance" in block else 1e-4
     try:
         spec = large_market.LargeMarketSpec(
-            gamma_seq=parse_sequence(block["gamma"], "large_market.gamma", 1, max_n),
-            mu_seq=parse_sequence(block["mu"], "large_market.mu", 1, max_n),
-            beta_seq=parse_sequence(block["beta"], "large_market.beta", 2, max_n),
-            beta_bar_seq=parse_sequence(block["beta_bar"], "large_market.beta_bar", 1, max_n),
+            gamma_seq=parse_sequence(block["gamma"], "large_market.gamma", max_n),
+            mu_seq=parse_sequence(block["mu"], "large_market.mu", max_n),
+            beta_seq=parse_sequence(block["beta"], "large_market.beta", max_n),
+            beta_bar_seq=parse_sequence(block["beta_bar"], "large_market.beta_bar", max_n),
             mix=parse_mixing(block["mixing"], "large_market.mixing"),
             max_n=max_n,
         )
-    except (OverflowError, ZeroDivisionError) as exc:  # kappa / i**p beyond float range
-        raise SpecFileError(
-            f"invalid large_market block: a coefficient sequence overflows a float ({exc})"
-        ) from exc
     except ValueError as exc:
         raise SpecFileError(f"invalid large_market block: {exc}") from exc
     return spec, n_list, tol

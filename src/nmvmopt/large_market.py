@@ -12,6 +12,7 @@ in n; the convergence study tracks its Cauchy behavior numerically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .model import TransformedModel
 
 __all__ = [
     "LargeMarketSpec",
+    "PowerSequence",
     "ConvergenceRow",
     "b_function",
     "d_coefficient",
@@ -35,8 +37,30 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class PowerSequence:
+    """kappa / i**p, built as one array: math.pow(i, p) is i**p to the bit."""
+
+    kappa: float
+    p: float
+
+    def values(self, start: int, max_n: int) -> np.ndarray:
+        powers = np.fromiter(
+            map(math.pow, range(start, max_n + 1), itertools.repeat(self.p)),
+            dtype=float,
+            count=max_n - start + 1,
+        )
+        if not powers.all():  # i**p underflowed to 0, where kappa / i**p raises
+            raise ZeroDivisionError("float division by zero")
+        with np.errstate(over="ignore"):  # an infinite quotient is rejected as not finite
+            return self.kappa / powers
+
+
 def _materialize(seq, max_n: int, start: int = 1) -> np.ndarray:
-    """Accept an array-like or a callable i -> value (i starting at ``start``)."""
+    """Accept a PowerSequence, an array-like or a callable i -> value (i
+    starting at ``start``)."""
+    if isinstance(seq, PowerSequence):
+        return seq.values(start, max_n)
     if callable(seq):
         return np.fromiter(map(seq, range(start, max_n + 1)), dtype=float, count=max_n - start + 1)
     arr = np.asarray(seq, dtype=float).reshape(-1)
@@ -53,8 +77,9 @@ class LargeMarketSpec:
 
     ``gamma_seq``/``mu_seq``/``beta_bar_seq`` are indexed from asset 1,
     ``beta_seq`` from asset 2 (asset 1 carries no index loading).  Each may
-    be an explicit array or a callable i -> value; power decay kappa/i**p
-    is then just ``lambda i: kappa / i**p``.
+    be an explicit array, a callable i -> value, or a PowerSequence for
+    power decay kappa/i**p (the same bits as ``lambda i: kappa / i**p``,
+    without a call per asset).
     """
 
     gamma_seq: object

@@ -48,23 +48,16 @@ def _special():
     return scipy.special
 
 
-def log_bessel_k(lam: float, x):
+def log_bessel_k(lam: float, x: float) -> float:
     """log K_lam(x) via the exponentially scaled Bessel function, or by
-    quadrature where that overflows (large |lam| against x)."""
-    if type(x) is float and x > 0.0:
-        # a Laplace probe: the same ufuncs as below on a scalar, without
-        # the array plumbing.  np.log, not math.log, which differs from it
-        # in the last bit on some kve values
-        out = float(np.log(_special().kve(lam, x)) - x)
-        if not math.isinf(out):
-            return out
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    quadrature where that overflows (large |lam| against x).
+
+    np.log, not math.log: the two differ in the last bit on some kve values.
+    """
+    if x <= 0.0:
         raise MixingDomainError(f"log_bessel_k requires x > 0, got {x}")
-    out = np.log(_special().kve(lam, x)) - x
-    if np.isinf(out).any():
-        out = np.where(np.isinf(out), np.vectorize(_log_bessel_k_quad)(lam, x), out)
-    return float(out) if out.ndim == 0 else out
+    out = float(np.log(_special().kve(lam, x)) - x)
+    return _log_bessel_k_quad(lam, float(x)) if math.isinf(out) else out
 
 
 def _log_bessel_k_quad(lam: float, x: float) -> float:

@@ -687,15 +687,38 @@ def test_general_opt_log_high_order_silent_under_warnings_as_errors(tmp_path):
 ])
 def test_power_sequence_is_kappa_over_i_to_the_p_to_the_bit(kappa, p, start):
     max_n = 2**16 + start - 1
-    got = parse_sequence({"kind": "power", "kappa": kappa, "p": p}, "seq", start, max_n)
+    seq = parse_sequence({"kind": "power", "kappa": kappa, "p": p}, "seq", max_n)
+    got = seq.values(start, max_n)
     want = np.array([kappa / i**p for i in range(start, max_n + 1)])
     assert got.shape == (2**16,)
     assert got.tobytes() == want.tobytes()
 
 
 def test_constant_sequence_is_its_value():
-    got = parse_sequence({"kind": "constant", "value": 0.7}, "seq", 2, 9)
-    assert got.tolist() == [0.7] * 8
+    got = parse_sequence({"kind": "constant", "value": 0.7}, "seq", 9)
+    assert got.tolist() == [0.7] * 9
+
+
+@pytest.mark.parametrize("blocks,detail", [
+    # the mixing law is checked before any sequence is built
+    ({"gamma": {"kind": "power", "kappa": 0.5, "p": 400.0},
+      "mixing": {"kind": "exponential", "rate": 1.0}},
+     "large market requires a bounded mixing support inside (0, inf), got [0.0, inf] "
+     "from Exponential(rate=1.0)"),
+    # beta_bar is built before beta
+    ({"beta": {"kind": "power", "kappa": 0.5, "p": -400.0},
+      "beta_bar": {"kind": "power", "kappa": 1.0, "p": 400.0}},
+     "a coefficient sequence overflows a float (math range error)"),
+    # and gamma before mu
+    ({"gamma": {"kind": "power", "kappa": 0.5, "p": -400.0},
+      "mu": {"kind": "power", "kappa": 1.0, "p": 400.0}},
+     "a coefficient sequence overflows a float (float division by zero)"),
+])
+def test_large_market_spec_with_two_faults_names_the_first_check(tmp_path, capsys, blocks, detail):
+    raw = json.loads((SPECS / "large_market.json").read_text())
+    raw["large_market"].update(blocks)
+    assert main(["large-market", "--spec", write_spec(tmp_path, raw), "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == f"input error: invalid large_market block: {detail}\n"
 
 
 @pytest.mark.parametrize("key,seq,detail", [

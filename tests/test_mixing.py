@@ -401,14 +401,18 @@ def test_gig_log_laplace_is_the_two_bessel_formula_to_the_bit(lam, chi, psi):
 
 
 @pytest.mark.parametrize("lam", np.linspace(-6.0, 6.0, 25).tolist() + [150.0, 200.0, -180.0])
-def test_log_bessel_k_of_a_float_is_the_array_path_to_the_bit(lam):
-    # a Python float takes the scalar branch, an np.float64 the array code
-    xs = np.geomspace(1e-3, 1e3, 61).tolist() + [0.3 * k for k in range(1, 20)]
-    for x in xs:
-        assert type(x) is float
-        assert log_bessel_k(lam, x) == log_bessel_k(lam, np.float64(x))
-    if abs(lam) >= 150.0:  # kve overflows: the scalar branch falls through to quadrature
-        assert math.isinf(mixing._special().kve(lam, 1.0))
+def test_log_bessel_k_is_the_array_formula_to_the_bit(lam):
+    # one scalar call equals the same ufuncs over an array of arguments, with
+    # quadrature where kve overflows
+    xs = np.array(np.geomspace(1e-3, 1e3, 61).tolist() + [0.3 * k for k in range(1, 20)])
+    want = np.log(mixing._special().kve(lam, xs)) - xs
+    overflow = np.isinf(want)
+    want[overflow] = [mixing._log_bessel_k_quad(lam, x) for x in xs[overflow].tolist()]
+    if abs(lam) >= 150.0:
+        assert overflow.any()
+    for x, w in zip(xs.tolist(), want.tolist()):
+        assert log_bessel_k(lam, x) == w
+        assert log_bessel_k(lam, np.float64(x)) == w
 
 
 def test_gig_exp_opt_evaluates_the_normaliser_once(monkeypatch):
